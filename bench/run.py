@@ -47,8 +47,10 @@ ROOT = BENCH_DIR.parent
 OUT_DIR = ROOT / ".bench_out"
 REFERENCES = BENCH_DIR / "references.json"
 
-# Fresh interpreters timed for setup_s; the median is reported.
-SETUP_PROBES = 11
+# Fresh interpreters timed for setup_s, spread over the run between passes
+# so that they sample the host's speed over the whole run, like the
+# passes do; the median is reported.
+SETUP_PROBES = 15
 
 
 def load_cli():
@@ -147,11 +149,12 @@ def _metric(value, unit):
 
 
 def end_to_end(cli, workload, rng, seconds, references):
-    setup = [probe_setup() for _ in range(SETUP_PROBES)]
     call_cli(cli, WARMUP)
-    walls, latencies, failures, attempted, least, conjugates = [], {}, [], 0, math.inf, 0
+    setup, walls, latencies, failures, attempted, least, conjugates = [], [], {}, [], 0, math.inf, 0
     started = time.perf_counter()
     while not walls or time.perf_counter() - started < seconds:
+        while len(setup) < SETUP_PROBES * (time.perf_counter() - started) / seconds:
+            setup.append(probe_setup())
         wall, lat, outcomes = run_pass(cli, workload.shuffled(rng))
         bad, bits, conj, _ = check_pass(outcomes, references)
         walls.append(wall)
@@ -161,12 +164,18 @@ def end_to_end(cli, workload, rng, seconds, references):
         attempted += len(outcomes)
         least = min(least, bits)
         conjugates += conj
-    # Percentiles over the request list of each request's median latency:
-    # on the few-request workloads a pooled percentile would be an extreme
-    # sample of one request kind.
-    typical = [statistics.median(lat) for lat in latencies.values()]
+    while len(setup) < SETUP_PROBES:
+        setup.append(probe_setup())
+    # Pass walls and each request's latencies are averaged over the run, not
+    # taken as medians: wide-256 and deep-minpoly fit only 5-8 passes in a
+    # run, and under a host whose speed switches between levels a median of
+    # so few samples jumps from one level to the other between runs.  The
+    # percentiles are then taken over the request list, since on the
+    # few-request workloads a pooled percentile would be an extreme sample
+    # of one request kind.
+    typical = [statistics.mean(lat) for lat in latencies.values()]
     metrics = {
-        "wall_s": _metric(statistics.median(walls), "s"),
+        "wall_s": _metric(statistics.mean(walls), "s"),
         "request_ms_p50": _metric(statistics.median(typical), "ms"),
         "request_ms_p90": _metric(_p90(typical), "ms"),
         "conjugates_per_s": _metric(conjugates / sum(walls), "1/s"),
@@ -215,6 +224,7 @@ def _trace_targets():
 
     return [
         ("cli", "main", None),
+        ("cli", "build_parser", None),
         ("cli", "run", None),
         ("cli", "format_complex", None),
         ("normal_basis", "conjugates", None),
@@ -260,6 +270,7 @@ def layer_metrics(spans, wall: float, context_misses: int, output_bytes: int) ->
             ("exactmath.to_complex", ("calls", "ms")),
             ("cli.run", ("ms", "self_ms")),
             ("cli.main", ("self_ms",)),
+            ("cli.build_parser", ("ms",)),
             ("cli.format_complex", ("calls", "ms")),
         )
         for stat in stats
@@ -280,7 +291,9 @@ def layer_metrics(spans, wall: float, context_misses: int, output_bytes: int) ->
         "normal_basis.snap.headroom_bits": (min(headroom) if headroom else 0.0, "bits"),
         "exactmath.context.misses": (context_misses, "count"),
         "cli.output_bytes": (output_bytes, "bytes"),
-        "trace.covered_share": (sum(own.values()) / wall, "ratio"),
+        # The wrapped layers' busy time plus cli.run's self time: everything
+        # below the root cli.main span, whose self time is left out.
+        "trace.covered_share": (sum(own[s.id] for s in spans if s.name != "cli.main") / wall, "ratio"),
     })
     return values
 

@@ -12,7 +12,7 @@ import mpmath
 import pytest
 
 import refcheck
-from run import REFERENCES, call_cli, load_cli
+from run import REFERENCES, call_cli, layer_metrics, load_cli
 from tracer import Span, Tracer, self_times
 from workloads import WARMUP, WORKLOADS, request_precision
 
@@ -30,6 +30,19 @@ def test_self_times_of_synthetic_tree():
     ]
     own = self_times(spans)
     assert own == {0: 4.0, 1: 1.5, 2: 0.5, 3: 3.0, 4: 4.0}
+
+
+def test_covered_share_leaves_out_the_root_spans_self_time():
+    spans = [
+        Span(0, None, 1, "cli.main", 0.0, 10.0),
+        Span(1, 0, 1, "cli.build_parser", 0.5, 1.5),
+        Span(2, 0, 1, "cli.run", 2.0, 9.0),
+        Span(3, 2, 1, "normal_basis.conjugates", 3.0, 8.0),
+    ]
+    values = layer_metrics(spans, wall=10.0, context_misses=0, output_bytes=0)
+    assert values["trace.covered_share"][0] == pytest.approx(0.8)
+    assert values["cli.main.self_ms"][0] == pytest.approx(2000.0)
+    assert values["cli.run.self_ms"][0] == pytest.approx(2000.0)
 
 
 def test_tracer_wraps_every_binding_and_restores_them():
@@ -77,7 +90,7 @@ def test_checker_accepts_this_commit_and_flags_a_perturbed_coefficient():
     key = refcheck.request_key(argv)
     result = _checked(argv)
     problems, bits = refcheck.check_result("minpoly", 256, result, REFS[key])
-    assert problems == [] and bits > 64
+    assert problems == [] and bits == 256  # exact fields only: agreement at the cap
     result["coefficients"][3] = str(int(result["coefficients"][3]) + 1)
     problems, _ = refcheck.check_result("minpoly", 256, result, REFS[key])
     assert problems == ["coefficients differ from the reference"]

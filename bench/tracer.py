@@ -51,8 +51,7 @@ def self_times(spans: list[Span]) -> dict[int, float]:
 
 
 class Tracer:
-    def __init__(self, clock=time.perf_counter):
-        self.clock = clock
+    def __init__(self):
         self.spans: list[Span] = []
         self.request = 0
         self._stack: list[int] = []
@@ -70,7 +69,7 @@ class Tracer:
                 tracer._stack[-1] if tracer._stack else None,
                 tracer.request,
                 name,
-                tracer.clock(),
+                time.perf_counter(),
             )
             tracer.spans.append(span)
             tracer._stack.append(span.id)
@@ -82,7 +81,7 @@ class Tracer:
                 exc = e
                 raise
             finally:
-                span.end = tracer.clock()
+                span.end = time.perf_counter()
                 tracer._stack.pop()
                 if note is not None:
                     span.info = note(args, kwargs, result, exc)
