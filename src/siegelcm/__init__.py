@@ -21,7 +21,6 @@ from .exactmath import (
     DEFAULT_GUARD,
     DEFAULT_PRECISION,
     BigComplex,
-    BigRational,
     QuadIrrational,
     agreement_bits,
     bernoulli2,
@@ -60,13 +59,12 @@ from .reciprocity import (
     conjugate_indices,
     w_group,
 )
-from .siegel_eval import SiegelParams, power_exponent, siegel_g, siegel_power
+from .siegel_eval import power_exponent, siegel_power
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BigComplex",
-    "BigRational",
     "ConjugateIndex",
     "ConjugateRecord",
     "CriterionReport",
@@ -86,7 +84,6 @@ __all__ = [
     "PrecisionUnachievableError",
     "QuadForm",
     "QuadIrrational",
-    "SiegelParams",
     "SnapFailureError",
     "ThetaPoly",
     "WElement",
@@ -104,7 +101,6 @@ __all__ = [
     "minimal_polynomial",
     "power_exponent",
     "reduced_forms",
-    "siegel_g",
     "siegel_power",
     "siegel_ramachandra_invariant",
     "theta",

@@ -1,7 +1,8 @@
 """Command-line front end: argument parsing, reports, exit codes.
 
 Exit codes: 0 success, 2 rejected input (bad discriminant, excluded field,
-level < 2, precision < 64), 3 evaluation failure (snap or precision).
+level < 2, precision < 64, snap tolerance not finite and > 0), 3 evaluation
+failure (snap or precision).
 Reports go to stdout as JSON (default) or text; both carry the same
 numbers.  High-precision values are rendered as decimal strings so no
 precision is lost to binary floats, and output for a fixed configuration
@@ -16,7 +17,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from math import ceil
+from math import ceil, inf
 
 from .errors import EvaluationError, InputError
 from .exactmath import DEFAULT_GUARD, DEFAULT_PRECISION, BigComplex, context
@@ -30,7 +31,7 @@ from .normal_basis import (
 )
 from .quadforms import reduced_forms, validate_discriminant
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 SUBCOMMANDS = ("forms", "conjugates", "normal-basis", "minpoly", "invariant")
 MIN_PRECISION = 64
 
@@ -44,7 +45,6 @@ class RunConfig:
     guard: int = DEFAULT_GUARD
     snap_tolerance: float = 1e-10
     format: str = "json"
-    threads: int = 1
 
     def __post_init__(self):
         if self.subcommand not in SUBCOMMANDS:
@@ -55,8 +55,8 @@ class RunConfig:
             raise InputError("guard bits must be >= 0")
         if self.subcommand != "forms" and (self.level is None or self.level < 2):
             raise InputError("level must be an integer >= 2")
-        if self.threads < 1:
-            raise InputError("threads must be >= 1")
+        if not 0 < self.snap_tolerance < inf:
+            raise InputError(f"snap tolerance must be finite and > 0, got {self.snap_tolerance}")
         if self.format not in ("json", "text"):
             raise InputError(f"unknown format {self.format!r}")
 
@@ -133,13 +133,7 @@ def _compute(config: RunConfig) -> dict:
         )
         return {"value": format_complex(value, digits)}
 
-    records = conjugates(
-        d,
-        config.level,
-        precision=config.precision,
-        guard=config.guard,
-        threads=config.threads,
-    )
+    records = conjugates(d, config.level, precision=config.precision, guard=config.guard)
     if config.subcommand == "conjugates":
         return {"count": len(records), "conjugates": _conjugate_rows(records, digits)}
 
@@ -176,7 +170,6 @@ def render_json(report: Report) -> str:
             "guard": config.guard,
             "snap_tolerance": config.snap_tolerance,
             "format": config.format,
-            "threads": config.threads,
         },
         "result": report.result,
     }
@@ -256,8 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--snap-tolerance", type=float, default=1e-10,
                        help="max distance of coefficients from integers (default 1e-10)")
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--threads", type=int, default=1,
-                       help="parallel conjugate evaluations (default 1)")
     return parser
 
 
@@ -270,7 +261,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         guard=args.guard,
         snap_tolerance=args.snap_tolerance,
         format=args.format,
-        threads=args.threads,
     )
 
 

@@ -6,7 +6,7 @@ dedup vectors mod Z^2).  Quadratic irrationals (p + sqrt(d))/q with d < 0
 are kept exact until a working precision is chosen.  Floating values are
 mpmath bignums wrapped in :class:`BigComplex`, which carries its working
 precision explicitly: there is no global precision state anywhere in this
-package, so values can be shared freely between concurrent workers.
+package.
 """
 
 from __future__ import annotations
@@ -19,13 +19,10 @@ import mpmath
 
 from .errors import InputError
 
-BigRational = Fraction
-
 DEFAULT_PRECISION = 256
 DEFAULT_GUARD = 64
 
-# Fresh contexts are cloned from mpmath.mp but never mutated afterwards,
-# so cached instances are safe to share between threads.
+# Fresh contexts are cloned from mpmath.mp and never mutated afterwards.
 @functools.lru_cache(maxsize=None)
 def context(bits: int) -> mpmath.ctx_mp.MPContext:
     """An isolated mpmath context with working precision ``bits``."""
@@ -66,11 +63,7 @@ class QuadIrrational:
 
 @dataclass(frozen=True)
 class BigComplex:
-    """An arbitrary-precision complex value plus the precision it carries.
-
-    Arithmetic always runs at the larger precision of the two operands and
-    the result records that precision; nothing ever silently narrows.
-    """
+    """An arbitrary-precision complex value plus the precision it carries."""
 
     real: mpmath.mpf
     imag: mpmath.mpf
@@ -87,28 +80,6 @@ class BigComplex:
     def to_mpc(self, ctx=None):
         ctx = ctx if ctx is not None else context(self.precision)
         return ctx.mpc(self.real, self.imag)
-
-    def _binary(self, other, op):
-        if not isinstance(other, BigComplex):
-            return NotImplemented
-        prec = max(self.precision, other.precision)
-        ctx = context(prec)
-        return BigComplex.from_mpc(op(self.to_mpc(ctx), other.to_mpc(ctx)), prec)
-
-    def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
-
-    def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
-
-    def __mul__(self, other):
-        return self._binary(other, lambda a, b: a * b)
-
-    def __truediv__(self, other):
-        return self._binary(other, lambda a, b: a / b)
-
-    def __neg__(self):
-        return BigComplex(-self.real, -self.imag, self.precision)
 
     def __abs__(self) -> mpmath.mpf:
         return context(self.precision).hypot(self.real, self.imag)

@@ -11,9 +11,11 @@ is then expanded and snapped to an integer polynomial.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from math import inf
+
+import mpmath
 
 from .errors import DegenerateValueError, InputError, SnapFailureError
 from .exactmath import (
@@ -32,7 +34,7 @@ from .reciprocity import (
     beta_modN,
     conjugate_indices,
 )
-from .siegel_eval import DEFAULT_MAX_TERMS, siegel_power
+from .siegel_eval import siegel_power
 
 # Added to the observed maximum ratio before both certificate comparisons,
 # so the certificate cannot pass (or m come out small) on rounding noise.
@@ -81,7 +83,9 @@ class IntPolynomial:
 
 
 def _exact_fraction(x) -> Fraction:
-    """Exact value of an mpf (dyadic rational) as a Fraction."""
+    """Exact value of a finite mpf (dyadic rational) as a Fraction."""
+    if not mpmath.isfinite(x):
+        raise InputError(f"expected a finite value, got {x}")
     sign, man, exp, _ = x._mpf_
     f = Fraction(int(man), 1) * Fraction(2) ** int(exp)
     return -f if sign else f
@@ -92,8 +96,6 @@ def conjugates(
     N: int,
     precision: int = DEFAULT_PRECISION,
     guard: int = DEFAULT_GUARD,
-    threads: int = 1,
-    max_terms: int = DEFAULT_MAX_TERMS,
 ) -> list[ConjugateRecord]:
     """Evaluate every conjugate of the base value, identity record first.
 
@@ -102,34 +104,21 @@ def conjugates(
     -12N/gcd(6,N) power of g at that point, carried at ``precision`` bits
     (with ``guard`` extra working bits).  The principal form has beta = 1,
     so the first record is the base value itself with vector (0, 1).
-
-    Evaluations are independent; ``threads`` > 1 runs them in a thread
-    pool.  The output order is the index order either way.
     """
     indices = conjugate_indices(d, N)
     base = FracVector.make(0, 1, N)
     betas = {}
-    work = []
+    records = []
     for idx in indices:
         Q = idx.form
         if Q not in betas:
             betas[Q] = beta_modN(Q, d, N)
         vector = act_vector(base, idx.alpha.matrix * betas[Q])
-        work.append((idx, vector, theta_of_form(Q, d)))
-
-    def evaluate(item):
-        idx, vector, point = item
+        point = theta_of_form(Q, d)
         tau = to_complex(point, precision + guard)
-        value = siegel_power(
-            vector.v, vector.w, tau, N, "-",
-            precision=precision, guard=guard, max_terms=max_terms,
-        )
-        return ConjugateRecord(index=idx, vector=vector, point=point, value=value)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(evaluate, work))
-    return [evaluate(item) for item in work]
+        value = siegel_power(vector.v, vector.w, tau, N, "-", precision=precision, guard=guard)
+        records.append(ConjugateRecord(index=idx, vector=vector, point=point, value=value))
+    return records
 
 
 def least_certifying_power(max_ratio, group_order: int) -> int:
@@ -146,7 +135,10 @@ def least_certifying_power(max_ratio, group_order: int) -> int:
     if hasattr(max_ratio, "_mpf_"):
         ratio = _exact_fraction(max_ratio)
     else:
-        ratio = Fraction(max_ratio)
+        try:
+            ratio = Fraction(max_ratio)
+        except (OverflowError, ValueError) as exc:
+            raise InputError(f"max_ratio must be finite, got {max_ratio}") from exc
     if ratio >= 1:
         raise InputError(f"max_ratio must be < 1, got {max_ratio}")
     if ratio <= 0 or group_order == 1:
@@ -217,6 +209,8 @@ def minimal_polynomial(
         raise InputError("need at least one conjugate record")
     if power < 1:
         raise InputError(f"power must be >= 1, got {power}")
+    if not 0 < snap_tolerance < inf:
+        raise InputError(f"snap tolerance must be finite and > 0, got {snap_tolerance}")
     prec = max(r.value.precision for r in records)
     ctx = context(prec + 64)
     coeffs = [ctx.mpc(1)]

@@ -19,7 +19,6 @@ the stated precision, so its total relative error is below 2^-precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -29,28 +28,6 @@ from .exactmath import DEFAULT_GUARD, DEFAULT_PRECISION, BigComplex, bernoulli2,
 # Reduced CM points have Im tau >= sqrt(3)/2, keeping M in the dozens even
 # at very high precision; the cap only trips on near-real direct calls.
 DEFAULT_MAX_TERMS = 10**6
-
-
-@dataclass(frozen=True)
-class SiegelParams:
-    """Arguments of one evaluation: reduced rational pair, point, precision."""
-
-    r1: Fraction
-    r2: Fraction
-    tau: BigComplex
-    precision: int = DEFAULT_PRECISION
-    guard: int = DEFAULT_GUARD
-    max_terms: int = DEFAULT_MAX_TERMS
-
-    def __post_init__(self):
-        if not (0 <= self.r1 < 1 and 0 <= self.r2 < 1):
-            raise InputError(f"(r1, r2) must lie in [0,1)^2, got ({self.r1}, {self.r2})")
-        if self.r1 == 0 and self.r2 == 0:
-            raise InputError("(r1, r2) = (0, 0) is not allowed")
-        if not self.tau.imag > 0:
-            raise InputError("tau must lie in the upper half-plane")
-        if self.precision < 2 or self.guard < 0:
-            raise InputError(f"bad precision/guard: {self.precision}/{self.guard}")
 
 
 def _truncation_index(ctx, imag, bits: int, cap: int) -> int:
@@ -85,16 +62,6 @@ def _raw_product(ctx, r1: Fraction, r2: Fraction, tau, terms: int):
     return lead * acc
 
 
-def siegel_g(params: SiegelParams) -> BigComplex:
-    """Evaluate the q-product at params, accurate to the stated precision."""
-    work = params.precision + params.guard
-    ctx = context(work)
-    tau = params.tau.to_mpc(ctx)
-    terms = _truncation_index(ctx, tau.imag, work, params.max_terms)
-    value = _raw_product(ctx, params.r1, params.r2, tau, terms)
-    return BigComplex.from_mpc(value, params.precision)
-
-
 def power_exponent(level: int, exponent_sign: str = "-") -> int:
     """The exponent used on g: -12N/gcd(6, N), or +12N for sign '+'."""
     if exponent_sign == "-":
@@ -127,18 +94,14 @@ def siegel_power(
     v, w = v % level, w % level
     if v == 0 and w == 0:
         raise InputError("(v, w) must be nonzero mod N")
-    params = SiegelParams(
-        r1=Fraction(v, level),
-        r2=Fraction(w, level),
-        tau=tau,
-        precision=precision,
-        guard=guard,
-        max_terms=max_terms,
-    )
+    if not tau.imag > 0:
+        raise InputError("tau must lie in the upper half-plane")
+    if precision < 2 or guard < 0:
+        raise InputError(f"bad precision/guard: {precision}/{guard}")
     work = precision + guard
     ctx = context(work)
-    tau_c = params.tau.to_mpc(ctx)
+    tau_c = tau.to_mpc(ctx)
     terms = _truncation_index(ctx, tau_c.imag, work, max_terms)
-    g = _raw_product(ctx, params.r1, params.r2, tau_c, terms)
+    g = _raw_product(ctx, Fraction(v, level), Fraction(w, level), tau_c, terms)
     value = ctx.power(g, power_exponent(level, exponent_sign))
     return BigComplex.from_mpc(value, precision)

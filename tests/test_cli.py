@@ -28,7 +28,7 @@ def test_forms_subcommand():
     code, out, err = run_cli(["forms", "--disc", "-20"])
     assert code == 0
     doc = json.loads(out)
-    assert doc["schema"] == 1
+    assert doc["schema"] == 2
     assert doc["config"]["subcommand"] == "forms"
     assert doc["result"]["class_number"] == 2
     assert doc["result"]["forms"] == [[1, 0, 5], [2, 2, 3]]
@@ -56,7 +56,7 @@ def test_run_config_validation():
     with pytest.raises(Exception):
         RunConfig(subcommand="minpoly", disc=-20, level=6, format="yaml")
     with pytest.raises(Exception):
-        RunConfig(subcommand="minpoly", disc=-20, level=6, threads=0)
+        RunConfig(subcommand="minpoly", disc=-20, level=6, snap_tolerance=float("nan"))
 
 
 def test_normal_basis_subcommand():
@@ -112,8 +112,8 @@ def test_byte_identical_output():
     _, first, _ = run_cli(["normal-basis", "--disc", "-20", "-N", "6"])
     _, second, _ = run_cli(["normal-basis", "--disc", "-20", "-N", "6"])
     assert first == second
-    _, third, _ = run_cli(["minpoly", "--disc", "-20", "-N", "6", "--threads", "3"])
-    _, fourth, _ = run_cli(["minpoly", "--disc", "-20", "-N", "6", "--threads", "3"])
+    _, third, _ = run_cli(["minpoly", "--disc", "-20", "-N", "6"])
+    _, fourth, _ = run_cli(["minpoly", "--disc", "-20", "-N", "6"])
     assert third == fourth
 
 
@@ -171,3 +171,19 @@ def test_parser_requires_level_for_minpoly(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["minpoly", "--disc", "-20"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1", "0"])
+def test_main_rejects_bad_snap_tolerance(capsys, tolerance):
+    code = main(["minpoly", "--disc", "-8", "-N", "2", "--snap-tolerance", tolerance])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "snap tolerance" in captured.err
+
+
+def test_threads_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["conjugates", "--disc", "-20", "-N", "6", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err

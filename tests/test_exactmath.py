@@ -19,16 +19,6 @@ from siegelcm import (
 )
 
 
-def test_bigrational_is_normalized():
-    from siegelcm import BigRational
-
-    r = BigRational(4, 6)
-    assert (r.numerator, r.denominator) == (2, 3)
-    r = BigRational(1, -2)
-    assert (r.numerator, r.denominator) == (-1, 2)
-    assert BigRational(2, 4) == BigRational(1, 2)  # structural equality
-
-
 def test_bernoulli2_values():
     assert bernoulli2(Fraction(0)) == Fraction(1, 6)
     assert bernoulli2(Fraction(1, 2)) == Fraction(-1, 12)
@@ -88,15 +78,6 @@ def test_to_complex_double_precision_consistency(prec):
     lo = to_complex(x, prec)
     hi = to_complex(x, 2 * prec)
     assert agreement_bits(lo, hi) >= prec - 2
-
-
-def test_bigcomplex_arithmetic_keeps_max_precision():
-    a = BigComplex.from_mpc(mpmath.mpc(1, 2), 128)
-    b = BigComplex.from_mpc(mpmath.mpc(3, -1), 256)
-    assert (a + b).precision == 256
-    assert (a * b).precision == 256
-    assert (a - b).precision == 256
-    assert (-a).precision == 128
 
 
 def test_bigcomplex_abs_and_powi():

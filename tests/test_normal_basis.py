@@ -80,11 +80,9 @@ def test_identity_record_matches_direct_evaluation(records_20_6):
     assert records_20_6[0].value == direct  # same code path, bit-identical
 
 
-def test_conjugates_rerun_and_threads_deterministic(records_20_6):
+def test_conjugates_rerun_deterministic(records_20_6):
     again = conjugates(D20, 6, precision=256)
-    threaded = conjugates(D20, 6, precision=256, threads=4)
     assert again == list(records_20_6)
-    assert threaded == list(records_20_6)
 
 
 def test_conjugates_single_index_case():
@@ -147,6 +145,12 @@ def test_least_certifying_power_accepts_mpf():
     assert least_certifying_power(mpmath.mpf(0.5), 8) == 3
 
 
+@pytest.mark.parametrize("ratio", [mpmath.inf, mpmath.nan, float("inf"), float("nan")])
+def test_least_certifying_power_rejects_nonfinite(ratio):
+    with pytest.raises(InputError):
+        least_certifying_power(ratio, 8)
+
+
 def test_least_certifying_power_near_one():
     # within float epsilon of 1: still finite, decided by logarithms
     m = least_certifying_power(Fraction(2**100 - 1, 2**100), 8)
@@ -196,6 +200,12 @@ def test_minimal_polynomial_snap_failure_on_genuine_nonintegrality():
     with pytest.raises(SnapFailureError) as exc:
         minimal_polynomial(recs)
     assert 0.2 <= exc.value.max_rounding_residual <= 0.3
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0, 0.0])
+def test_minimal_polynomial_rejects_bad_snap_tolerance(records_20_6, tolerance):
+    with pytest.raises(InputError):
+        minimal_polynomial(list(records_20_6), snap_tolerance=tolerance)
 
 
 def test_minimal_polynomial_large_coefficients_need_precision():

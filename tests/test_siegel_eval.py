@@ -12,11 +12,9 @@ from siegelcm import (
     InputError,
     PrecisionUnachievableError,
     QuadIrrational,
-    SiegelParams,
     agreement_bits,
     context,
     power_exponent,
-    siegel_g,
     siegel_power,
     to_complex,
 )
@@ -41,23 +39,24 @@ FROZEN_X1 = (
 
 
 def test_quarter_power_of_two_value():
-    # at ((0, 1/2), i) the value is exactly i * 2^(1/4)
-    val = siegel_g(SiegelParams(Fraction(0), Fraction(1, 2), TAU_I, precision=256))
-    ctx = context(300)
-    expected = ctx.mpc(0, ctx.root(2, 4))
-    assert agreement_bits(val, BigComplex.from_mpc(expected, 256)) >= 250
+    # at ((0, 1/2), i) the value of g is exactly i * 2^(1/4), so its -12th
+    # power is (i * 2^(1/4))^-12 = 2^-3
+    val = siegel_power(0, 1, TAU_I, 2, "-", precision=256)
+    assert agreement_bits(val, BigComplex.from_mpc(mpmath.mpf(1) / 8, 256)) >= 250
 
 
 def test_matches_bruteforce_oracle():
+    # (v, w, N, tau, e): every exponent -12N/gcd(6, N) here is -12
     cases = [
-        (Fraction(0), Fraction(1, 2), TAU_I),
-        (Fraction(0), Fraction(1, 6), SQRT5_I),
-        (Fraction(1, 6), Fraction(5, 6), to_complex(QuadIrrational(-2, 4, -20), 320)),
-        (Fraction(1, 3), Fraction(0), TAU_I),
+        (0, 1, 2, TAU_I, -12),
+        (0, 1, 6, SQRT5_I, -12),
+        (1, 5, 6, to_complex(QuadIrrational(-2, 4, -20), 320), -12),
+        (1, 0, 3, TAU_I, -12),
     ]
-    for r1, r2, tau in cases:
-        ours = siegel_g(SiegelParams(r1, r2, tau, precision=256))
-        ref = oracle_siegel_g(r1, r2, tau.to_mpc(context(512)))
+    for v, w, N, tau, e in cases:
+        ours = siegel_power(v, w, tau, N, "-", precision=256)
+        with mpmath.workprec(512):
+            ref = oracle_siegel_g(Fraction(v, N), Fraction(w, N), tau.to_mpc(context(512))) ** e
         assert agreement_bits(ours, BigComplex.from_mpc(ref, 256)) >= 250
 
 
@@ -76,24 +75,24 @@ def test_matches_theta_quotient_route():
         lead *= mpmath.exp(1j * mpmath.pi * r2 * (mpmath.mpf(r1.numerator) / r1.denominator - 1))
         theta1 = mpmath.jtheta(1, mpmath.pi * z, mpmath.exp(1j * mpmath.pi * tau))
         eighth = mpmath.exp(2j * mpmath.pi * tau / 8)
-        ref = lead * 1j * mpmath.exp(1j * mpmath.pi * z) * theta1 / (eighth * mpmath.qp(q))
-    ours = siegel_g(SiegelParams(r1, r2, tau_big, precision=256))
+        ref = (lead * 1j * mpmath.exp(1j * mpmath.pi * z) * theta1 / (eighth * mpmath.qp(q))) ** -12
+    ours = siegel_power(1, 2, tau_big, 6, "-", precision=256)
     assert agreement_bits(ours, BigComplex.from_mpc(ref, 256)) >= 245
 
 
 def test_frozen_regression_constant():
-    val = siegel_g(SiegelParams(Fraction(0), Fraction(1, 6), SQRT5_I, precision=256))
+    # g is i * FROZEN_G16_IMAG, so its -12th power is FROZEN_G16_IMAG^-12
+    val = siegel_power(0, 1, SQRT5_I, 6, "-", precision=256)
     ctx = context(300)
-    frozen = ctx.mpf(FROZEN_G16_IMAG)
-    assert abs(val.real) < ctx.mpf(2) ** -240
-    assert abs(val.imag - frozen) < frozen * ctx.mpf(2) ** -245
+    frozen = ctx.mpf(FROZEN_G16_IMAG) ** -12
+    assert abs(val.imag) < frozen * ctx.mpf(2) ** -240
+    assert abs(val.real - frozen) < frozen * ctx.mpf(2) ** -245
 
 
 @pytest.mark.parametrize("prec", [64, 128, 256])
 def test_double_precision_self_consistency(prec):
-    params = dict(r1=Fraction(1, 7), r2=Fraction(3, 7), tau=SQRT5_I)
-    lo = siegel_g(SiegelParams(precision=prec, **params))
-    hi = siegel_g(SiegelParams(precision=2 * prec, **params))
+    lo = siegel_power(1, 3, SQRT5_I, 7, "-", precision=prec)
+    hi = siegel_power(1, 3, SQRT5_I, 7, "-", precision=2 * prec)
     assert agreement_bits(lo, hi) >= prec - 4
 
 
@@ -161,26 +160,24 @@ def test_siegel_power_rejects_zero_vector():
 
 
 def test_params_validation():
-    with pytest.raises(InputError):
-        SiegelParams(Fraction(0), Fraction(0), TAU_I)
-    with pytest.raises(InputError):
-        SiegelParams(Fraction(3, 2), Fraction(0), TAU_I)
-    with pytest.raises(InputError):
-        SiegelParams(Fraction(0), Fraction(-1, 2), TAU_I)
     low = BigComplex.from_mpc(mpmath.mpc(0, -1), 128)
     with pytest.raises(InputError):
-        SiegelParams(Fraction(0), Fraction(1, 2), low)
+        siegel_power(0, 1, low, 2, "-")
+    with pytest.raises(InputError):
+        siegel_power(0, 1, TAU_I, 2, "-", precision=1)
+    with pytest.raises(InputError):
+        siegel_power(0, 1, TAU_I, 2, "-", guard=-1)
 
 
 def test_precision_unachievable_on_tiny_imaginary_part():
     thin = BigComplex.from_mpc(mpmath.mpc(0, "1e-5"), 256)
     with pytest.raises(PrecisionUnachievableError):
-        siegel_g(SiegelParams(Fraction(0), Fraction(1, 2), thin, max_terms=1000))
+        siegel_power(0, 1, thin, 2, "-", max_terms=1000)
     # the same point is accepted once the cap allows the needed terms
     low = BigComplex.from_mpc(mpmath.mpc(0, "0.01"), 256)
     with pytest.raises(PrecisionUnachievableError):
-        siegel_g(SiegelParams(Fraction(0), Fraction(1, 2), low, precision=64, guard=16, max_terms=500))
-    val = siegel_g(SiegelParams(Fraction(0), Fraction(1, 2), low, precision=64, guard=16))
+        siegel_power(0, 1, low, 2, "-", precision=64, guard=16, max_terms=500)
+    val = siegel_power(0, 1, low, 2, "-", precision=64, guard=16)
     assert abs(val) > 0
 
 
