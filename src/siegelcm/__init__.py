@@ -18,8 +18,6 @@ from .errors import (
     SnapFailureError,
 )
 from .exactmath import (
-    DEFAULT_GUARD,
-    DEFAULT_PRECISION,
     BigComplex,
     QuadIrrational,
     agreement_bits,
@@ -28,9 +26,6 @@ from .exactmath import (
     to_complex,
 )
 from .normal_basis import (
-    ConjugateRecord,
-    CriterionReport,
-    IntPolynomial,
     check_criterion,
     conjugates,
     least_certifying_power,
@@ -38,9 +33,7 @@ from .normal_basis import (
     siegel_ramachandra_invariant,
 )
 from .quadforms import (
-    Discriminant,
     QuadForm,
-    ThetaPoly,
     class_number,
     reduced_forms,
     theta,
@@ -49,10 +42,8 @@ from .quadforms import (
     validate_discriminant,
 )
 from .reciprocity import (
-    ConjugateIndex,
     FracVector,
     MatrixModN,
-    WElement,
     act_vector,
     beta_local,
     beta_modN,
@@ -65,18 +56,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BigComplex",
-    "ConjugateIndex",
-    "ConjugateRecord",
-    "CriterionReport",
-    "DEFAULT_GUARD",
-    "DEFAULT_PRECISION",
     "DegenerateValueError",
-    "Discriminant",
     "EvaluationError",
     "ExcludedFieldError",
     "FracVector",
     "InputError",
-    "IntPolynomial",
     "MatrixModN",
     "NotCongruentError",
     "NotFundamentalError",
@@ -85,8 +69,6 @@ __all__ = [
     "QuadForm",
     "QuadIrrational",
     "SnapFailureError",
-    "ThetaPoly",
-    "WElement",
     "act_vector",
     "agreement_bits",
     "bernoulli2",

@@ -1,8 +1,12 @@
 """Command-line front end: argument parsing, reports, exit codes.
 
+One parser takes the subcommand and the flags ``--disc``, ``-N/--level``,
+``--precision`` and ``--format``.  The numeric policy is fixed in the
+library: 64 guard bits during evaluation and a snap tolerance of 1e-10.
+
 Exit codes: 0 success, 2 rejected input (bad discriminant, excluded field,
-level < 2, precision < 64, snap tolerance not finite and > 0), 3 evaluation
-failure (snap or precision).
+level missing or < 2, precision < 64), 3 evaluation failure (snap or
+precision).
 Reports go to stdout as JSON (default) or text; both carry the same
 numbers.  High-precision values are rendered as decimal strings so no
 precision is lost to binary floats, and output for a fixed configuration
@@ -16,11 +20,11 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
-from math import ceil, inf
+from dataclasses import asdict, dataclass
+from math import ceil
 
 from .errors import EvaluationError, InputError
-from .exactmath import DEFAULT_GUARD, DEFAULT_PRECISION, BigComplex, context
+from .exactmath import DEFAULT_PRECISION, BigComplex, context
 from .normal_basis import (
     ConjugateRecord,
     CriterionReport,
@@ -31,7 +35,7 @@ from .normal_basis import (
 )
 from .quadforms import reduced_forms, validate_discriminant
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 SUBCOMMANDS = ("forms", "conjugates", "normal-basis", "minpoly", "invariant")
 MIN_PRECISION = 64
 
@@ -42,8 +46,6 @@ class RunConfig:
     disc: int
     level: int | None
     precision: int = DEFAULT_PRECISION
-    guard: int = DEFAULT_GUARD
-    snap_tolerance: float = 1e-10
     format: str = "json"
 
     def __post_init__(self):
@@ -51,21 +53,10 @@ class RunConfig:
             raise InputError(f"unknown subcommand {self.subcommand!r}")
         if self.precision < MIN_PRECISION:
             raise InputError(f"precision must be >= {MIN_PRECISION} bits")
-        if self.guard < 0:
-            raise InputError("guard bits must be >= 0")
         if self.subcommand != "forms" and (self.level is None or self.level < 2):
             raise InputError("level must be an integer >= 2")
-        if not 0 < self.snap_tolerance < inf:
-            raise InputError(f"snap tolerance must be finite and > 0, got {self.snap_tolerance}")
         if self.format not in ("json", "text"):
             raise InputError(f"unknown format {self.format!r}")
-
-
-@dataclass(frozen=True)
-class Report:
-    config: RunConfig
-    result: dict
-    elapsed_ms: float
 
 
 def significant_digits(precision: int) -> int:
@@ -117,8 +108,8 @@ def _conjugate_rows(records: list[ConjugateRecord], digits: int) -> list[dict]:
 
 def _compute(config: RunConfig) -> dict:
     digits = significant_digits(config.precision)
+    d = validate_discriminant(config.disc)
     if config.subcommand == "forms":
-        d = validate_discriminant(config.disc)
         forms = reduced_forms(d)
         return {
             "discriminant": d.d,
@@ -126,14 +117,11 @@ def _compute(config: RunConfig) -> dict:
             "forms": [list(q.as_tuple()) for q in forms],
         }
 
-    d = validate_discriminant(config.disc)
     if config.subcommand == "invariant":
-        value = siegel_ramachandra_invariant(
-            d, config.level, precision=config.precision, guard=config.guard
-        )
+        value = siegel_ramachandra_invariant(d, config.level, precision=config.precision)
         return {"value": format_complex(value, digits)}
 
-    records = conjugates(d, config.level, precision=config.precision, guard=config.guard)
+    records = conjugates(d, config.level, precision=config.precision)
     if config.subcommand == "conjugates":
         return {"count": len(records), "conjugates": _conjugate_rows(records, digits)}
 
@@ -148,7 +136,7 @@ def _compute(config: RunConfig) -> dict:
     # minpoly
     if not report.passes:
         raise EvaluationError("certificate failed; no polynomial is produced")
-    poly = minimal_polynomial(records, snap_tolerance=config.snap_tolerance)
+    poly = minimal_polynomial(records)
     return {
         "criterion": _criterion_payload(report),
         "degree": poly.degree,
@@ -158,21 +146,8 @@ def _compute(config: RunConfig) -> dict:
     }
 
 
-def render_json(report: Report) -> str:
-    config = report.config
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "config": {
-            "subcommand": config.subcommand,
-            "disc": config.disc,
-            "level": config.level,
-            "precision": config.precision,
-            "guard": config.guard,
-            "snap_tolerance": config.snap_tolerance,
-            "format": config.format,
-        },
-        "result": report.result,
-    }
+def render_json(config: RunConfig, result: dict) -> str:
+    doc = {"schema": SCHEMA_VERSION, "config": asdict(config), "result": result}
     return json.dumps(doc, indent=2)
 
 
@@ -189,9 +164,9 @@ def _text_lines(prefix: str, value, out: list[str]):
         out.append(f"{prefix[:-1]}: {value}")
 
 
-def render_text(report: Report) -> str:
-    lines = [f"subcommand: {report.config.subcommand}"]
-    _text_lines("", report.result, lines)
+def render_text(config: RunConfig, result: dict) -> str:
+    lines = [f"subcommand: {config.subcommand}"]
+    _text_lines("", result, lines)
     return "\n".join(lines)
 
 
@@ -208,14 +183,10 @@ def run(config: RunConfig, stdout=None, stderr=None) -> int:
     except EvaluationError as exc:
         print(f"error: {exc}", file=stderr)
         return 3
-    report = Report(
-        config=config,
-        result=result,
-        elapsed_ms=(time.perf_counter() - started) * 1000.0,
-    )
-    rendered = render_json(report) if config.format == "json" else render_text(report)
-    print(rendered, file=stdout)
-    print(f"elapsed_ms={report.elapsed_ms:.3f}", file=stderr)
+    elapsed_ms = (time.perf_counter() - started) * 1000.0
+    render = render_json if config.format == "json" else render_text
+    print(render(config, result), file=stdout)
+    print(f"elapsed_ms={elapsed_ms:.3f}", file=stderr)
     return 0
 
 
@@ -228,46 +199,20 @@ def build_parser() -> argparse.ArgumentParser:
             "certificates, and integer minimal polynomials."
         ),
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, needs_level in (
-        ("forms", False),
-        ("conjugates", True),
-        ("normal-basis", True),
-        ("minpoly", True),
-        ("invariant", True),
-    ):
-        p = sub.add_parser(name)
-        p.add_argument("--disc", type=int, required=True, help="field discriminant (< 0)")
-        p.add_argument(
-            "-N", "--level", type=int, required=needs_level, default=None,
-            help="level N >= 2 of the ray class field",
-        )
-        p.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
-                       help="working precision in bits (default 256)")
-        p.add_argument("--guard", type=int, default=DEFAULT_GUARD,
-                       help="extra working bits during evaluation (default 64)")
-        p.add_argument("--snap-tolerance", type=float, default=1e-10,
-                       help="max distance of coefficients from integers (default 1e-10)")
-        p.add_argument("--format", choices=("json", "text"), default="json")
+    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("--disc", type=int, required=True, help="field discriminant (< 0)")
+    parser.add_argument("-N", "--level", type=int, default=None,
+                        help="level N >= 2 of the ray class field (not used by forms)")
+    parser.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
+                        help="working precision in bits (default 256)")
+    parser.add_argument("--format", choices=("json", "text"), default="json")
     return parser
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        subcommand=args.subcommand,
-        disc=args.disc,
-        level=args.level,
-        precision=args.precision,
-        guard=args.guard,
-        snap_tolerance=args.snap_tolerance,
-        format=args.format,
-    )
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
+        config = RunConfig(**vars(args))
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

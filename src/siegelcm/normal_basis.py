@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
 
 import mpmath
 
@@ -39,6 +38,10 @@ from .siegel_eval import siegel_power
 # Added to the observed maximum ratio before both certificate comparisons,
 # so the certificate cannot pass (or m come out small) on rounding noise.
 RATIO_SAFETY_MARGIN = Fraction(1, 2**64)
+
+# Largest distance of a coefficient from an integer (and of its imaginary
+# part from zero) that the snap accepts.
+SNAP_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -92,18 +95,16 @@ def _exact_fraction(x) -> Fraction:
 
 
 def conjugates(
-    d: Discriminant,
-    N: int,
-    precision: int = DEFAULT_PRECISION,
-    guard: int = DEFAULT_GUARD,
+    d: Discriminant, N: int, precision: int = DEFAULT_PRECISION
 ) -> list[ConjugateRecord]:
     """Evaluate every conjugate of the base value, identity record first.
 
     For each index (alpha, Q): the vector is (0, 1) alpha beta_Q in
     canonical form, the point is the CM point of Q, and the value is the
     -12N/gcd(6,N) power of g at that point, carried at ``precision`` bits
-    (with ``guard`` extra working bits).  The principal form has beta = 1,
-    so the first record is the base value itself with vector (0, 1).
+    (evaluated with a fixed DEFAULT_GUARD = 64 extra working bits).  The
+    principal form has beta = 1, so the first record is the base value
+    itself with vector (0, 1).
     """
     indices = conjugate_indices(d, N)
     base = FracVector.make(0, 1, N)
@@ -115,8 +116,10 @@ def conjugates(
             betas[Q] = beta_modN(Q, d, N)
         vector = act_vector(base, idx.alpha.matrix * betas[Q])
         point = theta_of_form(Q, d)
-        tau = to_complex(point, precision + guard)
-        value = siegel_power(vector.v, vector.w, tau, N, "-", precision=precision, guard=guard)
+        tau = to_complex(point, precision + DEFAULT_GUARD)
+        value = siegel_power(
+            vector.v, vector.w, tau, N, "-", precision=precision, guard=DEFAULT_GUARD
+        )
         records.append(ConjugateRecord(index=idx, vector=vector, point=point, value=value))
     return records
 
@@ -186,16 +189,12 @@ def check_criterion(records: list[ConjugateRecord]) -> CriterionReport:
     )
 
 
-def minimal_polynomial(
-    records: list[ConjugateRecord],
-    snap_tolerance: float = 1e-10,
-    power: int = 1,
-) -> IntPolynomial:
+def minimal_polynomial(records: list[ConjugateRecord], power: int = 1) -> IntPolynomial:
     """Expand prod (X - value^power) over the records and snap to integers.
 
     Expansion runs 64 bits above the records' precision.  Every
     coefficient's |imag| and distance to the nearest integer are recorded;
-    if either maximum exceeds ``snap_tolerance`` the snap is refused,
+    if either maximum exceeds SNAP_TOLERANCE (1e-10) the snap is refused,
     since that indicates either insufficient working precision for the
     coefficient sizes at hand or genuinely non-integral coefficients.
     Callers should pass records from a run whose certificate passed.
@@ -209,8 +208,6 @@ def minimal_polynomial(
         raise InputError("need at least one conjugate record")
     if power < 1:
         raise InputError(f"power must be >= 1, got {power}")
-    if not 0 < snap_tolerance < inf:
-        raise InputError(f"snap tolerance must be finite and > 0, got {snap_tolerance}")
     prec = max(r.value.precision for r in records)
     ctx = context(prec + 64)
     coeffs = [ctx.mpc(1)]
@@ -230,9 +227,9 @@ def minimal_polynomial(
         max_round = max(max_round, abs(c.real - nearest))
         max_imag = max(max_imag, abs(c.imag))
         snapped.append(int(nearest))
-    if max_round > snap_tolerance or max_imag > snap_tolerance:
+    if max_round > SNAP_TOLERANCE or max_imag > SNAP_TOLERANCE:
         raise SnapFailureError(
-            f"coefficients are not within {snap_tolerance} of integers "
+            f"coefficients are not within {SNAP_TOLERANCE} of integers "
             f"(rounding residual {ctx.nstr(max_round, 6)}, imaginary residual "
             f"{ctx.nstr(max_imag, 6)}); raise the working precision if the "
             f"residuals look like rounding noise",
@@ -247,11 +244,8 @@ def minimal_polynomial(
 
 
 def siegel_ramachandra_invariant(
-    d: Discriminant,
-    N: int,
-    precision: int = DEFAULT_PRECISION,
-    guard: int = DEFAULT_GUARD,
+    d: Discriminant, N: int, precision: int = DEFAULT_PRECISION
 ) -> BigComplex:
     """The 12N-th power g_{(0,1/N)}(theta)^{12N} at the standard generator."""
-    tau = to_complex(theta(d), precision + guard)
-    return siegel_power(0, 1, tau, N, "+", precision=precision, guard=guard)
+    tau = to_complex(theta(d), precision + DEFAULT_GUARD)
+    return siegel_power(0, 1, tau, N, "+", precision=precision, guard=DEFAULT_GUARD)

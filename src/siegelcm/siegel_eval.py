@@ -27,14 +27,14 @@ from .exactmath import DEFAULT_GUARD, DEFAULT_PRECISION, BigComplex, bernoulli2,
 
 # Reduced CM points have Im tau >= sqrt(3)/2, keeping M in the dozens even
 # at very high precision; the cap only trips on near-real direct calls.
-DEFAULT_MAX_TERMS = 10**6
+MAX_TERMS = 10**6
 
 
-def _truncation_index(ctx, imag, bits: int, cap: int) -> int:
+def _truncation_index(ctx, imag, bits: int) -> int:
     m = ctx.ceil(bits * ctx.ln2 / (2 * ctx.pi * imag)) + 2
-    if m > cap:
+    if m > MAX_TERMS:
         raise PrecisionUnachievableError(
-            f"truncation index {m} exceeds the cap of {cap} terms "
+            f"truncation index {m} exceeds the cap of {MAX_TERMS} terms "
             f"(Im tau = {ctx.nstr(imag, 8)} is too small for {bits} working bits)"
         )
     return int(m)
@@ -79,7 +79,6 @@ def siegel_power(
     exponent_sign: str = "-",
     precision: int = DEFAULT_PRECISION,
     guard: int = DEFAULT_GUARD,
-    max_terms: int = DEFAULT_MAX_TERMS,
 ) -> BigComplex:
     """g_{(v/N, w/N)}(tau)^e for e = -12N/gcd(6, N), or +12N with sign '+'.
 
@@ -101,7 +100,7 @@ def siegel_power(
     work = precision + guard
     ctx = context(work)
     tau_c = tau.to_mpc(ctx)
-    terms = _truncation_index(ctx, tau_c.imag, work, max_terms)
+    terms = _truncation_index(ctx, tau_c.imag, work)
     g = _raw_product(ctx, Fraction(v, level), Fraction(w, level), tau_c, terms)
     value = ctx.power(g, power_exponent(level, exponent_sign))
     return BigComplex.from_mpc(value, precision)

@@ -38,6 +38,7 @@ from siegelcm import (
     validate_discriminant,
     w_group,
 )
+from siegelcm.normal_basis import SNAP_TOLERANCE
 
 from oracles import oracle_is_fundamental, oracle_reduced_forms, oracle_siegel_g
 
@@ -126,7 +127,7 @@ def test_criterion_3_certificate_of_minus_20_level_6():
 def test_criterion_4_reference_polynomial_of_minus_20_level_6():
     start = time.perf_counter()
     records = conjugates(validate_discriminant(-20), 6, precision=256)
-    poly = minimal_polynomial(records, snap_tolerance=1e-10)
+    poly = minimal_polynomial(records)
     elapsed = time.perf_counter() - start
     got = list(poly.coefficients)
     ok = got == REFERENCE_POLY_20_6 and poly.max_rounding_residual < 1e-10 and elapsed < 1.0
@@ -158,6 +159,7 @@ def test_reference_polynomial_by_integer_relation():
 
 
 def test_criterion_5_property_grid():
+    assert SNAP_TOLERANCE == 1e-10  # the frozen snap sets were established at this tolerance
     start = time.perf_counter()
     failures = []
     for d_int in GRID_D:
@@ -181,7 +183,7 @@ def test_criterion_5_property_grid():
             outcomes = {}
             for bits, recs in ((128, records_128), (256, records)):
                 try:
-                    outcomes[bits] = minimal_polynomial(recs, snap_tolerance=1e-10)
+                    outcomes[bits] = minimal_polynomial(recs)
                 except SnapFailureError as exc:
                     outcomes[bits] = exc
             snapped_128 = not isinstance(outcomes[128], SnapFailureError)

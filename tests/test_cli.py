@@ -9,17 +9,14 @@ import pytest
 
 from siegelcm import cli
 from siegelcm.cli import RunConfig, format_complex, main, run, significant_digits
+from siegelcm.errors import InputError
 
 from test_normal_basis import VERIFIED_POLY_20_6
 
 
 def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
-    args = cli.build_parser().parse_args(argv)
-    try:
-        config = cli.config_from_args(args)
-    except Exception:
-        raise
+    config = RunConfig(**vars(cli.build_parser().parse_args(argv)))
     code = run(config, stdout=out, stderr=err)
     return code, out.getvalue(), err.getvalue()
 
@@ -28,7 +25,7 @@ def test_forms_subcommand():
     code, out, err = run_cli(["forms", "--disc", "-20"])
     assert code == 0
     doc = json.loads(out)
-    assert doc["schema"] == 2
+    assert doc["schema"] == 3
     assert doc["config"]["subcommand"] == "forms"
     assert doc["result"]["class_number"] == 2
     assert doc["result"]["forms"] == [[1, 0, 5], [2, 2, 3]]
@@ -49,14 +46,14 @@ def test_excluded_field_exit_code():
 
 
 def test_run_config_validation():
-    with pytest.raises(Exception):
+    with pytest.raises(InputError):
         RunConfig(subcommand="forms", disc=-20, level=None, precision=32)
-    with pytest.raises(Exception):
+    with pytest.raises(InputError):
         RunConfig(subcommand="minpoly", disc=-20, level=1)
-    with pytest.raises(Exception):
+    with pytest.raises(InputError):
         RunConfig(subcommand="minpoly", disc=-20, level=6, format="yaml")
-    with pytest.raises(Exception):
-        RunConfig(subcommand="minpoly", disc=-20, level=6, snap_tolerance=float("nan"))
+    with pytest.raises(InputError):
+        RunConfig(subcommand="modpoly", disc=-20, level=6)
 
 
 def test_normal_basis_subcommand():
@@ -168,22 +165,18 @@ def test_main_rejects_low_precision(capsys):
 
 
 def test_parser_requires_level_for_minpoly(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["minpoly", "--disc", "-20"])
-    assert exc.value.code == 2
-
-
-@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1", "0"])
-def test_main_rejects_bad_snap_tolerance(capsys, tolerance):
-    code = main(["minpoly", "--disc", "-8", "-N", "2", "--snap-tolerance", tolerance])
+    code = main(["minpoly", "--disc", "-20"])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert "snap tolerance" in captured.err
+    assert "level" in captured.err
 
 
-def test_threads_flag_is_gone(capsys):
+@pytest.mark.parametrize(
+    "flag, value", [("--threads", "2"), ("--guard", "64"), ("--snap-tolerance", "1e-10")]
+)
+def test_removed_flags_are_rejected(capsys, flag, value):
     with pytest.raises(SystemExit) as exc:
-        main(["conjugates", "--disc", "-20", "-N", "6", "--threads", "2"])
+        main(["conjugates", "--disc", "-20", "-N", "6", flag, value])
     assert exc.value.code == 2
-    assert "--threads" in capsys.readouterr().err
+    assert flag in capsys.readouterr().err

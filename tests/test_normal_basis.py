@@ -202,12 +202,6 @@ def test_minimal_polynomial_snap_failure_on_genuine_nonintegrality():
     assert 0.2 <= exc.value.max_rounding_residual <= 0.3
 
 
-@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0, 0.0])
-def test_minimal_polynomial_rejects_bad_snap_tolerance(records_20_6, tolerance):
-    with pytest.raises(InputError):
-        minimal_polynomial(list(records_20_6), snap_tolerance=tolerance)
-
-
 def test_minimal_polynomial_large_coefficients_need_precision():
     # level 5 over discriminant -24 has integer coefficients near 2e71;
     # 256-bit values cannot resolve them to 1e-10, 384-bit values can
