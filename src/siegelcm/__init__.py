@@ -18,11 +18,11 @@ from .errors import (
     SnapFailureError,
 )
 from .exactmath import (
-    BigComplex,
     QuadIrrational,
     agreement_bits,
     bernoulli2,
     context,
+    rounded,
     to_complex,
 )
 from .normal_basis import (
@@ -55,7 +55,6 @@ from .siegel_eval import power_exponent, siegel_power
 __version__ = "0.1.0"
 
 __all__ = [
-    "BigComplex",
     "DegenerateValueError",
     "EvaluationError",
     "ExcludedFieldError",
@@ -83,6 +82,7 @@ __all__ = [
     "minimal_polynomial",
     "power_exponent",
     "reduced_forms",
+    "rounded",
     "siegel_power",
     "siegel_ramachandra_invariant",
     "theta",

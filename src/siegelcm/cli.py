@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 from math import ceil
 
 from .errors import EvaluationError, InputError
-from .exactmath import DEFAULT_PRECISION, BigComplex, context
+from .exactmath import DEFAULT_PRECISION, context
 from .normal_basis import (
     ConjugateRecord,
     CriterionReport,
@@ -63,10 +63,10 @@ def significant_digits(precision: int) -> int:
     return ceil(precision * 0.3)
 
 
-def format_complex(z: BigComplex, digits: int | None = None) -> str:
+def format_complex(z, digits: int | None = None) -> str:
     """Deterministic 're+imi' / 're-imi' rendering at fixed digit count."""
-    digits = digits if digits is not None else significant_digits(z.precision)
-    ctx = context(z.precision)
+    digits = digits if digits is not None else significant_digits(z.context.prec)
+    ctx = context(z.context.prec)
     re = ctx.nstr(z.real, digits)
     sign = "-" if z.imag < 0 else "+"
     im = ctx.nstr(abs(z.imag), digits)
@@ -90,12 +90,9 @@ def _conjugate_rows(records: list[ConjugateRecord], digits: int) -> list[dict]:
         rows.append(
             {
                 "alpha": {
-                    "t": alpha.t,
-                    "s": alpha.s,
-                    "matrix": [
-                        [alpha.matrix.m11, alpha.matrix.m12],
-                        [alpha.matrix.m21, alpha.matrix.m22],
-                    ],
+                    "t": alpha.m22,
+                    "s": alpha.m21,
+                    "matrix": [[alpha.m11, alpha.m12], [alpha.m21, alpha.m22]],
                 },
                 "form": list(rec.index.form.as_tuple()),
                 "vector": list(rec.vector.as_tuple()),

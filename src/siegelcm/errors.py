@@ -35,7 +35,7 @@ class PrecisionUnachievableError(EvaluationError):
 
 
 class DegenerateValueError(EvaluationError):
-    """A singular value underflowed to zero at working precision."""
+    """A singular value is zero (underflow) or NaN at working precision."""
 
 
 class SnapFailureError(EvaluationError):

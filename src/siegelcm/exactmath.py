@@ -1,16 +1,17 @@
-"""Exact arithmetic substrate and the arbitrary-precision complex carrier.
+"""Exact arithmetic substrate and the precision-carrying complex values.
 
 Rationals are plain ``fractions.Fraction`` (always lowest terms, positive
 denominator, structural equality -- exactly the canonical form needed to
 dedup vectors mod Z^2).  Quadratic irrationals (p + sqrt(d))/q with d < 0
 are kept exact until a working precision is chosen.  Floating values are
-mpmath bignums wrapped in :class:`BigComplex`, which carries its working
-precision explicitly: there is no global precision state anywhere in this
-package.
+mpc numbers of the context ``context(bits)`` they were rounded in, so a
+value's precision is ``value.context.prec`` and they pickle: there is no
+global precision state anywhere in this package.
 """
 
 from __future__ import annotations
 
+import copyreg
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,12 +26,32 @@ DEFAULT_GUARD = 64
 # Fresh contexts are cloned from mpmath.mp and never mutated afterwards.
 @functools.lru_cache(maxsize=None)
 def context(bits: int) -> mpmath.ctx_mp.MPContext:
-    """An isolated mpmath context with working precision ``bits``."""
+    """An isolated mpmath context with working precision ``bits``.
+
+    Its mpf and mpc classes are the clone's own, which pickle cannot find
+    by name, so they are pickled as (bits, raw tuple) instead.
+    """
     if bits < 2:
         raise InputError(f"working precision must be >= 2 bits, got {bits}")
     ctx = mpmath.mp.clone()
     ctx.prec = bits
+    copyreg.pickle(ctx.mpf, lambda x: (_unpickle, (bits, x._mpf_)))
+    copyreg.pickle(ctx.mpc, lambda z: (_unpickle, (bits, z._mpc_)))
     return ctx
+
+
+def _unpickle(bits: int, raw):
+    ctx = context(bits)
+    return ctx.make_mpc(raw) if len(raw) == 2 else ctx.make_mpf(raw)
+
+
+def rounded(value, bits: int):
+    """``value`` rounded to an mpc of ``context(bits)``.
+
+    The mpc constructor rounds both parts, also of an mpc from a wider
+    context; ``ctx.fadd(z, 0)`` would round only the real part.
+    """
+    return context(bits).mpc(value)
 
 
 def bernoulli2(r: Fraction) -> Fraction:
@@ -61,36 +82,7 @@ class QuadIrrational:
             raise InputError(f"radicand must be 0 or 1 mod 4, got {self.d}")
 
 
-@dataclass(frozen=True)
-class BigComplex:
-    """An arbitrary-precision complex value plus the precision it carries."""
-
-    real: mpmath.mpf
-    imag: mpmath.mpf
-    precision: int
-
-    @classmethod
-    def from_mpc(cls, value, precision: int) -> "BigComplex":
-        """Round an mpmath complex (or real) value into a BigComplex."""
-        ctx = context(precision)
-        value = ctx.mpc(value)
-        # fadd against zero forces a rounding to ctx.prec
-        return cls(ctx.fadd(value.real, 0), ctx.fadd(value.imag, 0), precision)
-
-    def to_mpc(self, ctx=None):
-        ctx = ctx if ctx is not None else context(self.precision)
-        return ctx.mpc(self.real, self.imag)
-
-    def __abs__(self) -> mpmath.mpf:
-        return context(self.precision).hypot(self.real, self.imag)
-
-    def powi(self, exponent: int) -> "BigComplex":
-        """Integer power, evaluated at this value's precision."""
-        ctx = context(self.precision)
-        return BigComplex.from_mpc(ctx.power(self.to_mpc(ctx), int(exponent)), self.precision)
-
-
-def to_complex(x: QuadIrrational, precision: int = DEFAULT_PRECISION) -> BigComplex:
+def to_complex(x: QuadIrrational, precision: int = DEFAULT_PRECISION):
     """Evaluate (p + i sqrt(|d|))/q at the given precision in bits.
 
     The square root is computed with 16 extra bits so the final quotient is
@@ -100,19 +92,19 @@ def to_complex(x: QuadIrrational, precision: int = DEFAULT_PRECISION) -> BigComp
     s = work.sqrt(work.mpf(-x.d))
     re = work.mpf(x.p) / x.q
     im = s / x.q
-    return BigComplex.from_mpc(work.mpc(re, im), precision)
+    return rounded(work.mpc(re, im), precision)
 
 
-def agreement_bits(a: BigComplex, b: BigComplex) -> float:
+def agreement_bits(a, b) -> float:
     """Bits of relative agreement between two values (inf if identical).
 
     Defined as -log2(|a - b| / max(|a|, |b|)); used by consistency checks
     comparing the same quantity computed at two precisions.
     """
-    prec = max(a.precision, b.precision) + 16
-    ctx = context(prec)
-    diff = abs(a.to_mpc(ctx) - b.to_mpc(ctx))
-    scale = max(abs(a.to_mpc(ctx)), abs(b.to_mpc(ctx)))
+    ctx = context(max(a.context.prec, b.context.prec) + 16)
+    a, b = ctx.mpc(a), ctx.mpc(b)
+    diff = abs(a - b)
+    scale = max(abs(a), abs(b))
     if diff == 0:
         return float("inf")
     if scale == 0:

@@ -20,7 +20,6 @@ from .errors import DegenerateValueError, InputError, SnapFailureError
 from .exactmath import (
     DEFAULT_GUARD,
     DEFAULT_PRECISION,
-    BigComplex,
     QuadIrrational,
     context,
     to_complex,
@@ -46,12 +45,15 @@ SNAP_TOLERANCE = 1e-10
 
 @dataclass(frozen=True)
 class ConjugateRecord:
-    """One conjugate: its index, transformed vector, CM point, and value."""
+    """One conjugate: its index, transformed vector, CM point, and value.
+
+    ``value`` is an mpc of ``context(precision)``; records pickle.
+    """
 
     index: ConjugateIndex
     vector: FracVector
     point: QuadIrrational
-    value: BigComplex
+    value: mpmath.mpc
 
 
 @dataclass(frozen=True)
@@ -114,7 +116,7 @@ def conjugates(
         Q = idx.form
         if Q not in betas:
             betas[Q] = beta_modN(Q, d, N)
-        vector = act_vector(base, idx.alpha.matrix * betas[Q])
+        vector = act_vector(base, idx.alpha * betas[Q])
         point = theta_of_form(Q, d)
         tau = to_complex(point, precision + DEFAULT_GUARD)
         value = siegel_power(
@@ -169,14 +171,15 @@ def check_criterion(records: list[ConjugateRecord]) -> CriterionReport:
     """
     if not records:
         raise InputError("need at least one conjugate record")
-    prec = max(r.value.precision for r in records)
+    prec = max(r.value.context.prec for r in records)
     ctx = context(prec + 16)
     moduli = [abs(r.value) for r in records]
-    if any(m == 0 for m in moduli):
-        raise DegenerateValueError("a conjugate value underflowed to zero")
     base = moduli[0]
+    # m > 0 is false for NaN too, so all ratios compare and max() is exact
+    if not (all(m > 0 for m in moduli) and ctx.isfinite(base)):
+        raise DegenerateValueError("a conjugate is zero or NaN, or the base is infinite")
     ratios = [ctx.fdiv(m, base) for m in moduli[1:]]
-    raw_max = max((_exact_fraction(r) for r in ratios), default=Fraction(0))
+    raw_max = _exact_fraction(max(ratios)) if ratios else Fraction(0)
     margined = raw_max + RATIO_SAFETY_MARGIN
     passes = margined < 1
     m = least_certifying_power(margined, len(records)) if passes else None
@@ -208,11 +211,11 @@ def minimal_polynomial(records: list[ConjugateRecord], power: int = 1) -> IntPol
         raise InputError("need at least one conjugate record")
     if power < 1:
         raise InputError(f"power must be >= 1, got {power}")
-    prec = max(r.value.precision for r in records)
+    prec = max(r.value.context.prec for r in records)
     ctx = context(prec + 64)
     coeffs = [ctx.mpc(1)]
     for rec in records:
-        root = rec.value.to_mpc(ctx)
+        root = ctx.mpc(rec.value)
         if power != 1:
             root = ctx.power(root, power)
         nxt = coeffs + [ctx.mpc(0)]
@@ -245,7 +248,7 @@ def minimal_polynomial(records: list[ConjugateRecord], power: int = 1) -> IntPol
 
 def siegel_ramachandra_invariant(
     d: Discriminant, N: int, precision: int = DEFAULT_PRECISION
-) -> BigComplex:
+) -> mpmath.mpc:
     """The 12N-th power g_{(0,1/N)}(theta)^{12N} at the standard generator."""
     tau = to_complex(theta(d), precision + DEFAULT_GUARD)
     return siegel_power(0, 1, tau, N, "+", precision=precision, guard=DEFAULT_GUARD)

@@ -60,6 +60,9 @@ class MatrixModN:
     def entries(self) -> tuple[int, int, int, int]:
         return (self.m11, self.m12, self.m21, self.m22)
 
+    def is_identity(self) -> bool:
+        return self.entries() == (1, 0, 0, 1)
+
     def det(self) -> int:
         return (self.m11 * self.m22 - self.m12 * self.m21) % self.modulus
 
@@ -79,27 +82,6 @@ class MatrixModN:
             (self.m21 * other.m12 + self.m22 * other.m22) % n,
             n,
         )
-
-
-@dataclass(frozen=True)
-class WElement:
-    """A class of (t - Bs, -Cs; s, t) in GL_2(Z/NZ)/{+-1}, stored canonically.
-
-    (t, s) are read back off the canonical representative's bottom row, so
-    they determine the matrix and vice versa.
-    """
-
-    t: int
-    s: int
-    matrix: MatrixModN
-
-    @classmethod
-    def from_ts(cls, t: int, s: int, B: int, C: int, modulus: int) -> "WElement":
-        m = MatrixModN.make(t - B * s, -C * s, s, t, modulus).canonical()
-        return cls(t=m.m22, s=m.m21, matrix=m)
-
-    def is_identity(self) -> bool:
-        return self.matrix.entries() == (1, 0, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -131,9 +113,9 @@ class FracVector:
 
 @dataclass(frozen=True)
 class ConjugateIndex:
-    """One index (alpha, Q) of the conjugate enumeration."""
+    """One index (alpha, Q): alpha is a W class's canonical matrix (:func:`w_group`)."""
 
-    alpha: WElement
+    alpha: MatrixModN
     form: QuadForm
 
 
@@ -202,27 +184,27 @@ def beta_modN(Q: QuadForm, d: Discriminant, N: int) -> MatrixModN:
     return MatrixModN.make(*flat, N).canonical()
 
 
-def w_group(d: Discriminant, N: int) -> list[WElement]:
+def w_group(d: Discriminant, N: int) -> list[MatrixModN]:
     """All classes of (t - Bs, -Cs; s, t) with unit determinant, mod +-1.
 
-    Runs over (t, s) in (Z/N)^2 keeping det = t^2 - Bst + Cs^2 prime to N.
-    Deterministic order: identity first, then lexicographic in the (t, s)
-    of the canonical representative.  Rejects d in {-3, -4}, where the
-    class count would overstate the Galois group.
+    Runs over (t, s) in (Z/N)^2 keeping det = t^2 - Bst + Cs^2 prime to N,
+    and returns each class once as its canonical matrix, whose bottom row
+    (m21, m22) is (s, t) again.  Deterministic order: identity first, then
+    lexicographic in (t, s) = (m22, m21).  Rejects d in {-3, -4}, where
+    the class count would overstate the Galois group.
     """
     N = _require_level(N)
     if d.d in (-3, -4):
         raise ExcludedFieldError(f"d = {d.d} needs extra units; index set unsupported")
     poly = theta_min_poly(d)
     B, C = poly.B, poly.C
-    seen = {}
-    for t in range(N):
-        for s in range(N):
-            if gcd(t * t - B * s * t + C * s * s, N) != 1:
-                continue
-            el = WElement.from_ts(t, s, B, C, N)
-            seen[el.matrix.entries()] = el
-    return sorted(seen.values(), key=lambda el: (not el.is_identity(), el.t, el.s))
+    group = {
+        MatrixModN.make(t - B * s, -C * s, s, t, N).canonical()
+        for t in range(N)
+        for s in range(N)
+        if gcd(t * t - B * s * t + C * s * s, N) == 1
+    }
+    return sorted(group, key=lambda m: (not m.is_identity(), m.m22, m.m21))
 
 
 def act_vector(vec: FracVector, M: MatrixModN) -> FracVector:

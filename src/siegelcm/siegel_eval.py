@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import InputError, PrecisionUnachievableError
-from .exactmath import DEFAULT_GUARD, DEFAULT_PRECISION, BigComplex, bernoulli2, context
+from .exactmath import DEFAULT_GUARD, DEFAULT_PRECISION, bernoulli2, context, rounded
 
 # Reduced CM points have Im tau >= sqrt(3)/2, keeping M in the dozens even
 # at very high precision; the cap only trips on near-real direct calls.
@@ -74,12 +74,12 @@ def power_exponent(level: int, exponent_sign: str = "-") -> int:
 def siegel_power(
     v: int,
     w: int,
-    tau: BigComplex,
+    tau,
     level: int,
     exponent_sign: str = "-",
     precision: int = DEFAULT_PRECISION,
     guard: int = DEFAULT_GUARD,
-) -> BigComplex:
+):
     """g_{(v/N, w/N)}(tau)^e for e = -12N/gcd(6, N), or +12N with sign '+'.
 
     (v, w) may be any integers not congruent to (0, 0) mod N; they are
@@ -99,8 +99,8 @@ def siegel_power(
         raise InputError(f"bad precision/guard: {precision}/{guard}")
     work = precision + guard
     ctx = context(work)
-    tau_c = tau.to_mpc(ctx)
+    tau_c = rounded(tau, work)
     terms = _truncation_index(ctx, tau_c.imag, work)
     g = _raw_product(ctx, Fraction(v, level), Fraction(w, level), tau_c, terms)
     value = ctx.power(g, power_exponent(level, exponent_sign))
-    return BigComplex.from_mpc(value, precision)
+    return rounded(value, precision)

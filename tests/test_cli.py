@@ -39,10 +39,18 @@ def test_forms_rejects_nonfundamental():
     assert "fundamental" in err
 
 
-def test_excluded_field_exit_code():
-    code, _, err = run_cli(["normal-basis", "--disc", "-4", "-N", "6"])
-    assert code == 2
-    assert "error" in err
+@pytest.mark.parametrize("disc", ["-3", "-4"])
+def test_excluded_field_exit_code(disc):
+    # only the subcommands that enumerate conjugates exclude these fields
+    for subcommand in ("conjugates", "normal-basis", "minpoly"):
+        code, out, err = run_cli([subcommand, "--disc", disc, "-N", "6"])
+        assert code == 2
+        assert out == ""
+        assert "error" in err
+    for subcommand in ("forms", "invariant"):
+        code, out, _ = run_cli([subcommand, "--disc", disc, "-N", "6"])
+        assert code == 0
+        assert json.loads(out)["result"]
 
 
 def test_run_config_validation():
@@ -142,10 +150,10 @@ def test_significant_digits_rule():
 def test_format_complex_signs():
     import mpmath
 
-    from siegelcm import BigComplex
+    from siegelcm import rounded
 
-    plus = BigComplex.from_mpc(mpmath.mpc(1.5, 2.5), 64)
-    minus = BigComplex.from_mpc(mpmath.mpc(1.5, -2.5), 64)
+    plus = rounded(mpmath.mpc(1.5, 2.5), 64)
+    minus = rounded(mpmath.mpc(1.5, -2.5), 64)
     assert format_complex(plus, 5) == "1.5+2.5i"
     assert format_complex(minus, 5) == "1.5-2.5i"
 

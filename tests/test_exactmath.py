@@ -1,4 +1,4 @@
-"""Tests for the exact substrate and the precision-carrying complex type."""
+"""Tests for the exact substrate and the precision-carrying complex values."""
 
 from __future__ import annotations
 
@@ -9,12 +9,12 @@ import mpmath
 import pytest
 
 from siegelcm import (
-    BigComplex,
     InputError,
     QuadIrrational,
     agreement_bits,
     bernoulli2,
     context,
+    rounded,
     to_complex,
 )
 
@@ -80,12 +80,18 @@ def test_to_complex_double_precision_consistency(prec):
     assert agreement_bits(lo, hi) >= prec - 2
 
 
-def test_bigcomplex_abs_and_powi():
-    a = BigComplex.from_mpc(mpmath.mpc(3, 4), 128)
+def test_rounded_rounds_both_parts():
+    wide = context(512)
+    z = wide.mpc(wide.mpf(1) / 3, wide.mpf(2) / 7)
+    r = rounded(z, 256)
+    ctx = context(256)
+    assert r.context is ctx
+    for part, exact in ((r.real, z.real), (r.imag, z.imag)):
+        assert part._mpf_[3] <= 256  # bit count of the mantissa
+        assert part == ctx.mpf(exact)
+    a = rounded(mpmath.mpc(3, 4), 128)
     assert abs(a) == 5
-    sq = a.powi(2)
-    ctx = context(128)
-    assert mpmath.almosteq(sq.to_mpc(ctx), ctx.mpc(-7, 24), rel_eps=2**-120)
+    assert mpmath.almosteq(a**2, context(128).mpc(-7, 24), rel_eps=2**-120)
 
 
 def test_no_global_precision_mutation():

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import dataclasses
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
 import pytest
 
+import siegelcm
 from siegelcm import (
-    BigComplex,
     DegenerateValueError,
     FracVector,
     InputError,
@@ -21,6 +25,7 @@ from siegelcm import (
     context,
     least_certifying_power,
     minimal_polynomial,
+    rounded,
     siegel_power,
     siegel_ramachandra_invariant,
     theta,
@@ -71,7 +76,7 @@ def test_identity_record_first(records_20_6):
     assert first.vector.as_tuple() == (0, 1)
     ctx = context(300)
     frozen = ctx.mpf(FROZEN_X1)
-    assert abs(first.value.to_mpc(ctx) - frozen) < frozen * ctx.mpf(2) ** -240
+    assert abs(ctx.mpc(first.value) - frozen) < frozen * ctx.mpf(2) ** -240
 
 
 def test_identity_record_matches_direct_evaluation(records_20_6):
@@ -92,7 +97,7 @@ def test_conjugates_single_index_case():
     assert (recs[0].point.p, recs[0].point.q, recs[0].point.d) == (-1, 2, -7)
     # the lone value is exactly -1
     ctx = context(280)
-    assert abs(recs[0].value.to_mpc(ctx) + 1) < ctx.mpf(2) ** -250
+    assert abs(ctx.mpc(recs[0].value) + 1) < ctx.mpf(2) ** -250
 
 
 def test_check_criterion_level_six_run(records_20_6):
@@ -116,10 +121,44 @@ def test_check_criterion_single_record():
 
 
 def test_check_criterion_degenerate_value(records_20_6):
-    zero = BigComplex.from_mpc(mpmath.mpc(0), 256)
+    zero = rounded(mpmath.mpc(0), 256)
     broken = [dataclasses.replace(records_20_6[0], value=zero)] + list(records_20_6[1:])
     with pytest.raises(DegenerateValueError):
         check_criterion(broken)
+
+
+def test_check_criterion_rejects_nan_and_infinite_base(records_20_6):
+    # a NaN ratio would be skipped by max(), so NaN values and an infinite
+    # base (inf / inf = NaN) must be rejected before the ratios are compared
+    nan, inf = rounded(mpmath.nan, 256), rounded(mpmath.inf, 256)
+    for k, value in ((5, nan), (0, nan), (0, inf)):
+        recs = list(records_20_6)
+        recs[k] = dataclasses.replace(recs[k], value=value)
+        with pytest.raises(DegenerateValueError):
+            check_criterion(recs)
+
+
+def test_records_and_report_pickle():
+    recs = conjugates(D20, 6, precision=320)
+    report = check_criterion(recs)
+    assert pickle.loads(pickle.dumps(recs)) == recs
+    assert pickle.loads(pickle.dumps(report)) == report
+    # a fresh interpreter has none of the contexts yet; it must rebuild them
+    script = (
+        "import pickle, sys\n"
+        "recs = pickle.load(sys.stdin.buffer)\n"
+        "assert all(r.value.context.prec == 320 for r in recs)\n"
+        "sys.stdout.buffer.write(pickle.dumps(recs))\n"
+    )
+    src = os.path.dirname(os.path.dirname(siegelcm.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", script], input=pickle.dumps(recs), env=env,
+        capture_output=True, check=True,
+    )
+    back = pickle.loads(done.stdout)
+    assert back == recs
+    assert back[0].value.context.prec == 320
 
 
 def test_check_criterion_needs_records():
@@ -217,7 +256,7 @@ def test_minimal_polynomial_large_coefficients_need_precision():
 
 
 def test_minimal_polynomial_snap_failure_degree_one(records_20_6):
-    half = BigComplex.from_mpc(mpmath.mpf("0.5"), 256)
+    half = rounded(mpmath.mpf("0.5"), 256)
     fake = [dataclasses.replace(records_20_6[0], value=half)]
     with pytest.raises(SnapFailureError):
         minimal_polynomial(fake)
@@ -236,18 +275,18 @@ def test_invariant_identity_level_six(records_20_6):
     # with gcd(6, N) = 6 the 12N-th power is the -6th power of the base value
     inv = siegel_ramachandra_invariant(D20, 6, precision=256)
     x1 = records_20_6[0].value
-    assert agreement_bits(inv, x1.powi(-6)) >= 200
+    assert agreement_bits(inv, x1 ** -6) >= 200
 
 
 def test_invariant_identity_coprime_level():
     # with gcd(6, 5) = 1 the 12N-th power is the -1st power of the base value
     inv = siegel_ramachandra_invariant(D20, 5, precision=256)
     x1 = conjugates(D20, 5, precision=256)[0].value
-    assert agreement_bits(inv, x1.powi(-1)) >= 200
+    assert agreement_bits(inv, x1 ** -1) >= 200
 
 
 def test_invariant_frozen_value():
     # frozen by the brute-force oracle: this invariant is exactly 1
     inv = siegel_ramachandra_invariant(validate_discriminant(-7), 2, precision=256)
     ctx = context(280)
-    assert abs(inv.to_mpc(ctx) - 1) < ctx.mpf(2) ** -200
+    assert abs(ctx.mpc(inv) - 1) < ctx.mpf(2) ** -200

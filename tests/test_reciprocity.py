@@ -117,17 +117,17 @@ def test_beta_modN_unit_determinant_everywhere():
 
 def test_w_group_level_six_example():
     group = w_group(D20, 6)
-    assert [el.matrix.entries() for el in group] == [
+    assert [el.entries() for el in group] == [
         (1, 0, 0, 1),
         (0, 1, 1, 0),
         (2, 3, 3, 2),
         (3, 2, 2, 3),
     ]
-    assert [(el.t, el.s) for el in group] == [(1, 0), (0, 1), (2, 3), (3, 2)]
+    assert [(el.m22, el.m21) for el in group] == [(1, 0), (0, 1), (2, 3), (3, 2)]
 
 
 def test_w_group_small_levels():
-    assert [el.matrix.entries() for el in w_group(D20, 2)] == [(1, 0, 0, 1), (0, 1, 1, 0)]
+    assert [el.entries() for el in w_group(D20, 2)] == [(1, 0, 0, 1), (0, 1, 1, 0)]
     group = w_group(validate_discriminant(-7), 2)
     assert len(group) == 1
     assert group[0].is_identity()
@@ -162,11 +162,10 @@ def test_w_elements_have_w_shape_and_unit_det():
     for d_int, N in [(-20, 6), (-23, 9), (-8, 12)]:
         d = validate_discriminant(d_int)
         poly = theta_min_poly(d)
-        for el in w_group(d, N):
-            m = el.matrix
-            assert m.m21 == el.s and m.m22 == el.t
-            assert m.m11 == (el.t - poly.B * el.s) % N
-            assert m.m12 == (-poly.C * el.s) % N
+        for m in w_group(d, N):
+            t, s = m.m22, m.m21
+            assert m.m11 == (t - poly.B * s) % N
+            assert m.m12 == (-poly.C * s) % N
             assert gcd(m.det(), N) == 1
             assert m.canonical() == m
 

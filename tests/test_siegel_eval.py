@@ -8,13 +8,13 @@ import mpmath
 import pytest
 
 from siegelcm import (
-    BigComplex,
     InputError,
     PrecisionUnachievableError,
     QuadIrrational,
     agreement_bits,
     context,
     power_exponent,
+    rounded,
     siegel_power,
     to_complex,
 )
@@ -22,7 +22,7 @@ from siegelcm.siegel_eval import _raw_product, _truncation_index
 
 from oracles import oracle_siegel_g
 
-TAU_I = BigComplex.from_mpc(mpmath.mpc(0, 1), 320)
+TAU_I = rounded(mpmath.mpc(0, 1), 320)
 SQRT5_I = to_complex(QuadIrrational(p=0, q=2, d=-20), 320)
 
 # frozen from the 512-bit, 200-term oracle: the value at ((0, 1/6), sqrt(-5))
@@ -42,7 +42,7 @@ def test_quarter_power_of_two_value():
     # at ((0, 1/2), i) the value of g is exactly i * 2^(1/4), so its -12th
     # power is (i * 2^(1/4))^-12 = 2^-3
     val = siegel_power(0, 1, TAU_I, 2, "-", precision=256)
-    assert agreement_bits(val, BigComplex.from_mpc(mpmath.mpf(1) / 8, 256)) >= 250
+    assert agreement_bits(val, rounded(mpmath.mpf(1) / 8, 256)) >= 250
 
 
 def test_matches_bruteforce_oracle():
@@ -56,8 +56,8 @@ def test_matches_bruteforce_oracle():
     for v, w, N, tau, e in cases:
         ours = siegel_power(v, w, tau, N, "-", precision=256)
         with mpmath.workprec(512):
-            ref = oracle_siegel_g(Fraction(v, N), Fraction(w, N), tau.to_mpc(context(512))) ** e
-        assert agreement_bits(ours, BigComplex.from_mpc(ref, 256)) >= 250
+            ref = oracle_siegel_g(Fraction(v, N), Fraction(w, N), context(512).mpc(tau)) ** e
+        assert agreement_bits(ours, rounded(ref, 256)) >= 250
 
 
 def test_matches_theta_quotient_route():
@@ -67,7 +67,7 @@ def test_matches_theta_quotient_route():
     r1, r2 = Fraction(1, 6), Fraction(2, 6)
     tau_big = to_complex(QuadIrrational(-2, 4, -20), 320)
     with mpmath.workprec(400):
-        tau = tau_big.to_mpc(mpmath.mp)
+        tau = mpmath.mp.mpc(tau_big)
         z = tau / 6 + mpmath.mpf(1) / 3
         q = mpmath.exp(2j * mpmath.pi * tau)
         b2 = Fraction(1, 36) - Fraction(1, 6) + Fraction(1, 6)
@@ -77,7 +77,7 @@ def test_matches_theta_quotient_route():
         eighth = mpmath.exp(2j * mpmath.pi * tau / 8)
         ref = (lead * 1j * mpmath.exp(1j * mpmath.pi * z) * theta1 / (eighth * mpmath.qp(q))) ** -12
     ours = siegel_power(1, 2, tau_big, 6, "-", precision=256)
-    assert agreement_bits(ours, BigComplex.from_mpc(ref, 256)) >= 245
+    assert agreement_bits(ours, rounded(ref, 256)) >= 245
 
 
 def test_frozen_regression_constant():
@@ -101,7 +101,7 @@ def test_truncation_soundness():
     # less than 2^-precision relative
     precision, guard = 256, 64
     ctx = context(precision + guard)
-    tau = SQRT5_I.to_mpc(ctx)
+    tau = ctx.mpc(SQRT5_I)
     m = _truncation_index(ctx, tau.imag, precision + guard)
     a = _raw_product(ctx, Fraction(0), Fraction(1, 6), tau, m)
     b = _raw_product(ctx, Fraction(0), Fraction(1, 6), tau, 2 * m)
@@ -122,10 +122,10 @@ def test_power_exponent():
 def test_siegel_power_matches_oracle_power():
     ours = siegel_power(0, 1, SQRT5_I, 6, "-", precision=256)
     with mpmath.workprec(512):
-        ref = oracle_siegel_g(Fraction(0), Fraction(1, 6), SQRT5_I.to_mpc(context(512))) ** -12
-    assert agreement_bits(ours, BigComplex.from_mpc(ref, 256)) >= 245
+        ref = oracle_siegel_g(Fraction(0), Fraction(1, 6), context(512).mpc(SQRT5_I)) ** -12
+    assert agreement_bits(ours, rounded(ref, 256)) >= 245
     ctx = context(300)
-    assert abs(ours.to_mpc(ctx) - ctx.mpf(FROZEN_X1)) < ctx.mpf(FROZEN_X1) * ctx.mpf(2) ** -240
+    assert abs(ctx.mpc(ours) - ctx.mpf(FROZEN_X1)) < ctx.mpf(FROZEN_X1) * ctx.mpf(2) ** -240
 
 
 def test_siegel_power_sign_invariance():
@@ -148,8 +148,8 @@ def test_siegel_power_mod_translation_invariance():
 def test_siegel_power_plus_sign():
     plus = siegel_power(0, 1, SQRT5_I, 6, "+", precision=256)
     with mpmath.workprec(512):
-        ref = oracle_siegel_g(Fraction(0), Fraction(1, 6), SQRT5_I.to_mpc(context(512))) ** 72
-    assert agreement_bits(plus, BigComplex.from_mpc(ref, 256)) >= 240
+        ref = oracle_siegel_g(Fraction(0), Fraction(1, 6), context(512).mpc(SQRT5_I)) ** 72
+    assert agreement_bits(plus, rounded(ref, 256)) >= 240
 
 
 def test_siegel_power_rejects_zero_vector():
@@ -160,7 +160,7 @@ def test_siegel_power_rejects_zero_vector():
 
 
 def test_params_validation():
-    low = BigComplex.from_mpc(mpmath.mpc(0, -1), 128)
+    low = rounded(mpmath.mpc(0, -1), 128)
     with pytest.raises(InputError):
         siegel_power(0, 1, low, 2, "-")
     with pytest.raises(InputError):
@@ -171,11 +171,11 @@ def test_params_validation():
 
 def test_precision_unachievable_on_tiny_imaginary_part():
     # Im tau = 1e-5 at 256+64 bits needs M ~ 3.5e6 terms, above MAX_TERMS
-    thin = BigComplex.from_mpc(mpmath.mpc(0, "1e-5"), 256)
+    thin = rounded(mpmath.mpc(0, "1e-5"), 256)
     with pytest.raises(PrecisionUnachievableError):
         siegel_power(0, 1, thin, 2, "-")
     # Im tau = 0.01 at 64+16 bits needs M = 885 terms, within the cap
-    low = BigComplex.from_mpc(mpmath.mpc(0, "0.01"), 256)
+    low = rounded(mpmath.mpc(0, "0.01"), 256)
     val = siegel_power(0, 1, low, 2, "-", precision=64, guard=16)
     assert abs(val) > 0
 
@@ -183,7 +183,7 @@ def test_precision_unachievable_on_tiny_imaginary_part():
 def test_factor_moduli_stay_near_one():
     # every factor (1 - q^n q_z^{+-1}) for n >= 1 is within |q|^(n - r1) of 1
     ctx = context(128)
-    tau = SQRT5_I.to_mpc(ctx)
+    tau = ctx.mpc(SQRT5_I)
     q = ctx.exp(2j * ctx.pi * tau)
     r1 = Fraction(1, 6)
     qz = ctx.exp(2j * ctx.pi * (tau / 6 + ctx.mpf(1) / 6))
