@@ -35,9 +35,9 @@ from .normal_basis import (
 from .quadforms import (
     QuadForm,
     class_number,
+    principal_form,
     reduced_forms,
     theta,
-    theta_min_poly,
     theta_of_form,
     validate_discriminant,
 )
@@ -81,12 +81,12 @@ __all__ = [
     "least_certifying_power",
     "minimal_polynomial",
     "power_exponent",
+    "principal_form",
     "reduced_forms",
     "rounded",
     "siegel_power",
     "siegel_ramachandra_invariant",
     "theta",
-    "theta_min_poly",
     "theta_of_form",
     "to_complex",
     "validate_discriminant",

@@ -63,10 +63,10 @@ def significant_digits(precision: int) -> int:
     return ceil(precision * 0.3)
 
 
-def format_complex(z, digits: int | None = None) -> str:
-    """Deterministic 're+imi' / 're-imi' rendering at fixed digit count."""
-    digits = digits if digits is not None else significant_digits(z.context.prec)
+def format_complex(z) -> str:
+    """Deterministic 're+imi' / 're-imi' rendering at z's significant digits."""
     ctx = context(z.context.prec)
+    digits = significant_digits(ctx.prec)
     re = ctx.nstr(z.real, digits)
     sign = "-" if z.imag < 0 else "+"
     im = ctx.nstr(abs(z.imag), digits)
@@ -83,7 +83,7 @@ def _criterion_payload(report: CriterionReport) -> dict:
     }
 
 
-def _conjugate_rows(records: list[ConjugateRecord], digits: int) -> list[dict]:
+def _conjugate_rows(records: list[ConjugateRecord]) -> list[dict]:
     rows = []
     for rec in records:
         alpha = rec.index.alpha
@@ -97,14 +97,13 @@ def _conjugate_rows(records: list[ConjugateRecord], digits: int) -> list[dict]:
                 "form": list(rec.index.form.as_tuple()),
                 "vector": list(rec.vector.as_tuple()),
                 "point": {"p": rec.point.p, "q": rec.point.q, "d": rec.point.d},
-                "value": format_complex(rec.value, digits),
+                "value": format_complex(rec.value),
             }
         )
     return rows
 
 
 def _compute(config: RunConfig) -> dict:
-    digits = significant_digits(config.precision)
     d = validate_discriminant(config.disc)
     if config.subcommand == "forms":
         forms = reduced_forms(d)
@@ -116,17 +115,17 @@ def _compute(config: RunConfig) -> dict:
 
     if config.subcommand == "invariant":
         value = siegel_ramachandra_invariant(d, config.level, precision=config.precision)
-        return {"value": format_complex(value, digits)}
+        return {"value": format_complex(value)}
 
     records = conjugates(d, config.level, precision=config.precision)
     if config.subcommand == "conjugates":
-        return {"count": len(records), "conjugates": _conjugate_rows(records, digits)}
+        return {"count": len(records), "conjugates": _conjugate_rows(records)}
 
     report = check_criterion(records)
     if config.subcommand == "normal-basis":
         return {
             "count": len(records),
-            "conjugates": _conjugate_rows(records, digits),
+            "conjugates": _conjugate_rows(records),
             "criterion": _criterion_payload(report),
         }
 

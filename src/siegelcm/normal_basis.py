@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from operator import attrgetter
 
 import mpmath
 
@@ -105,24 +107,22 @@ def conjugates(
     canonical form, the point is the CM point of Q, and the value is the
     -12N/gcd(6,N) power of g at that point, carried at ``precision`` bits
     (evaluated with a fixed DEFAULT_GUARD = 64 extra working bits).  The
-    principal form has beta = 1, so the first record is the base value
-    itself with vector (0, 1).
+    indices come grouped by form, so beta_Q, the point and tau are made
+    once per form.  The principal form has beta = 1, so the first record
+    is the base value itself with vector (0, 1).
     """
-    indices = conjugate_indices(d, N)
     base = FracVector.make(0, 1, N)
-    betas = {}
     records = []
-    for idx in indices:
-        Q = idx.form
-        if Q not in betas:
-            betas[Q] = beta_modN(Q, d, N)
-        vector = act_vector(base, idx.alpha * betas[Q])
+    for Q, indices in groupby(conjugate_indices(d, N), key=attrgetter("form")):
+        beta = beta_modN(Q, d, N)
         point = theta_of_form(Q, d)
         tau = to_complex(point, precision + DEFAULT_GUARD)
-        value = siegel_power(
-            vector.v, vector.w, tau, N, "-", precision=precision, guard=DEFAULT_GUARD
-        )
-        records.append(ConjugateRecord(index=idx, vector=vector, point=point, value=value))
+        for idx in indices:
+            vector = act_vector(base, idx.alpha * beta)
+            value = siegel_power(
+                vector.v, vector.w, tau, N, "-", precision=precision, guard=DEFAULT_GUARD
+            )
+            records.append(ConjugateRecord(index=idx, vector=vector, point=point, value=value))
     return records
 
 
@@ -192,8 +192,8 @@ def check_criterion(records: list[ConjugateRecord]) -> CriterionReport:
     )
 
 
-def minimal_polynomial(records: list[ConjugateRecord], power: int = 1) -> IntPolynomial:
-    """Expand prod (X - value^power) over the records and snap to integers.
+def minimal_polynomial(records: list[ConjugateRecord]) -> IntPolynomial:
+    """Expand prod (X - value) over the records and snap to integers.
 
     Expansion runs 64 bits above the records' precision.  Every
     coefficient's |imag| and distance to the nearest integer are recorded;
@@ -201,23 +201,14 @@ def minimal_polynomial(records: list[ConjugateRecord], power: int = 1) -> IntPol
     since that indicates either insufficient working precision for the
     coefficient sizes at hand or genuinely non-integral coefficients.
     Callers should pass records from a run whose certificate passed.
-
-    The default expands the polynomial of the conjugates themselves;
-    ``power`` = m > 1 instead uses their m-th powers (the element the
-    certificate's exponent refers to).  Coefficient sizes grow roughly
-    m-fold in digits, so large m may need more working precision.
     """
     if not records:
         raise InputError("need at least one conjugate record")
-    if power < 1:
-        raise InputError(f"power must be >= 1, got {power}")
     prec = max(r.value.context.prec for r in records)
     ctx = context(prec + 64)
     coeffs = [ctx.mpc(1)]
     for rec in records:
         root = ctx.mpc(rec.value)
-        if power != 1:
-            root = ctx.power(root, power)
         nxt = coeffs + [ctx.mpc(0)]
         for k in range(len(coeffs)):
             nxt[k + 1] -= root * coeffs[k]

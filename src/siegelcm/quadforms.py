@@ -84,14 +84,6 @@ class QuadForm:
         return (self.a, self.b, self.c)
 
 
-@dataclass(frozen=True)
-class ThetaPoly:
-    """Coefficients (B, C) of the minimal polynomial X^2 + BX + C of theta."""
-
-    B: int
-    C: int
-
-
 def reduced_forms(d: Discriminant) -> list[QuadForm]:
     """All reduced forms of discriminant d, principal form first.
 
@@ -120,11 +112,13 @@ def class_number(d: Discriminant) -> int:
     return len(reduced_forms(d))
 
 
-def theta(d: Discriminant) -> QuadIrrational:
-    """The standard generator: sqrt(d)/2 for d = 0 mod 4, else (-1+sqrt(d))/2."""
-    if d.d % 4 == 0:
-        return QuadIrrational(p=0, q=2, d=d.d)
-    return QuadIrrational(p=-1, q=2, d=d.d)
+def principal_form(d: Discriminant) -> QuadForm:
+    """The principal form (1, B, C): B = d mod 2 and C = (B - d)/4.
+
+    theta is its CM point and a root of X^2 + BX + C; every form's b = B mod 2.
+    """
+    B = d.d % 2
+    return QuadForm(1, B, (B - d.d) // 4)
 
 
 def theta_of_form(Q: QuadForm, d: Discriminant) -> QuadIrrational:
@@ -134,8 +128,6 @@ def theta_of_form(Q: QuadForm, d: Discriminant) -> QuadIrrational:
     return QuadIrrational(p=-Q.b, q=2 * Q.a, d=d.d)
 
 
-def theta_min_poly(d: Discriminant) -> ThetaPoly:
-    """(B, C) with theta^2 + B theta + C = 0: (0, -d/4) or (1, (1-d)/4)."""
-    if d.d % 4 == 0:
-        return ThetaPoly(B=0, C=-d.d // 4)
-    return ThetaPoly(B=1, C=(1 - d.d) // 4)
+def theta(d: Discriminant) -> QuadIrrational:
+    """The standard generator (-B + sqrt(d))/2, the CM point of the principal form."""
+    return theta_of_form(principal_form(d), d)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import gcd, prod
 
 from .errors import ExcludedFieldError, InputError
-from .quadforms import Discriminant, QuadForm, reduced_forms, theta_min_poly
+from .quadforms import Discriminant, QuadForm, principal_form, reduced_forms
 
 IntMatrix = tuple[tuple[int, int], tuple[int, int]]
 
@@ -124,24 +124,18 @@ def beta_local(Q: QuadForm, d: Discriminant, p: int) -> IntMatrix:
 
     The split is on p | a and p | c; primitivity of Q forbids p dividing
     all of a, b, c, so the table is total and its determinant (a, c, or
-    a + b + c in the respective cases) is prime to p.  For d = 0 mod 4 the
-    middle coefficient b is even, for d = 1 mod 4 it is odd, so the halved
-    entries below are integers.
+    a + b + c in the respective cases) is prime to p.  b has the parity of
+    d, and lo, hi are b halved down and up to integers, so lo + hi = b.
     """
     if Q.discriminant != d.d:
         raise ValueError(f"form {Q.as_tuple()} does not have discriminant {d.d}")
     a, b, c = Q.a, Q.b, Q.c
-    if d.d % 4 == 0:
-        if a % p:
-            return ((a, b // 2), (0, 1))
-        if c % p:
-            return ((-b // 2, -c), (1, 0))
-        return ((-a - b // 2, -c - b // 2), (1, -1))
+    lo, hi = (b - b % 2) // 2, (b + b % 2) // 2
     if a % p:
-        return ((a, (b - 1) // 2), (0, 1))
+        return ((a, lo), (0, 1))
     if c % p:
-        return ((-(b + 1) // 2, -c), (1, 0))
-    return ((-a - (b + 1) // 2, -c - (b - 1) // 2), (1, -1))
+        return ((-hi, -c), (1, 0))
+    return ((-a - hi, -c - lo), (1, -1))
 
 
 def _prime_powers(N: int) -> list[tuple[int, int]]:
@@ -187,7 +181,9 @@ def beta_modN(Q: QuadForm, d: Discriminant, N: int) -> MatrixModN:
 def w_group(d: Discriminant, N: int) -> list[MatrixModN]:
     """All classes of (t - Bs, -Cs; s, t) with unit determinant, mod +-1.
 
-    Runs over (t, s) in (Z/N)^2 keeping det = t^2 - Bst + Cs^2 prime to N,
+    B and C come from the principal form (1, B, C), so the matrix is the
+    action of t + s theta on the basis (theta, 1).  Runs over (t, s) in
+    (Z/N)^2 keeping its determinant, the norm t^2 - Bst + Cs^2, prime to N,
     and returns each class once as its canonical matrix, whose bottom row
     (m21, m22) is (s, t) again.  Deterministic order: identity first, then
     lexicographic in (t, s) = (m22, m21).  Rejects d in {-3, -4}, where
@@ -196,8 +192,7 @@ def w_group(d: Discriminant, N: int) -> list[MatrixModN]:
     N = _require_level(N)
     if d.d in (-3, -4):
         raise ExcludedFieldError(f"d = {d.d} needs extra units; index set unsupported")
-    poly = theta_min_poly(d)
-    B, C = poly.B, poly.C
+    _, B, C = principal_form(d).as_tuple()
     group = {
         MatrixModN.make(t - B * s, -C * s, s, t, N).canonical()
         for t in range(N)

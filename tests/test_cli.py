@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -152,10 +154,11 @@ def test_format_complex_signs():
 
     from siegelcm import rounded
 
-    plus = rounded(mpmath.mpc(1.5, 2.5), 64)
-    minus = rounded(mpmath.mpc(1.5, -2.5), 64)
-    assert format_complex(plus, 5) == "1.5+2.5i"
-    assert format_complex(minus, 5) == "1.5-2.5i"
+    # significant_digits(16) == 5
+    plus = rounded(mpmath.mpc(1.5, 2.5), 16)
+    minus = rounded(mpmath.mpc(1.5, -2.5), 16)
+    assert format_complex(plus) == "1.5+2.5i"
+    assert format_complex(minus) == "1.5-2.5i"
 
 
 def test_main_entry_point(capsys):
@@ -188,3 +191,26 @@ def test_removed_flags_are_rejected(capsys, flag, value):
         main(["conjugates", "--disc", "-20", "-N", "6", flag, value])
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
+
+
+# Change detector, not a correctness reference: output_pins.json holds the
+# exit code and the sha256 of stdout of a few requests, recorded from the
+# program itself.  A change that alters any output byte fails here; only a
+# change that announces an output change may re-record the file, with
+# ``PYTHONPATH=src python tests/test_cli.py``.
+PINS_PATH = Path(__file__).with_name("output_pins.json")
+
+
+def _pin(argv):
+    code, out, _ = run_cli(argv)
+    return {"argv": argv, "exit": code, "stdout_sha256": hashlib.sha256(out.encode()).hexdigest()}
+
+
+def test_output_pins():
+    for pin in json.loads(PINS_PATH.read_text()):
+        assert _pin(pin["argv"]) == pin
+
+
+if __name__ == "__main__":
+    argvs = [pin["argv"] for pin in json.loads(PINS_PATH.read_text())]
+    PINS_PATH.write_text(json.dumps([_pin(a) for a in argvs], indent=1) + "\n")

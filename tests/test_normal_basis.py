@@ -218,20 +218,6 @@ def test_minimal_polynomial_degree_one():
     assert poly.coefficients == (1, 1)  # X + 1
 
 
-def test_minimal_polynomial_of_powers(records_20_6):
-    same = minimal_polynomial(list(records_20_6), power=1)
-    assert same.coefficients == VERIFIED_POLY_20_6
-    squared = minimal_polynomial(list(records_20_6), power=2)
-    assert squared.degree == 8
-    assert abs(squared.coefficients[-1]) == 1  # squares of units are units
-    assert squared.coefficients[1] < -VERIFIED_POLY_20_6[1]  # roots grew
-    # the lone level-2 conjugate over -7 is -1, so its square gives X - 1
-    recs = conjugates(validate_discriminant(-7), 2, precision=256)
-    assert minimal_polynomial(recs, power=2).coefficients == (1, -1)
-    with pytest.raises(InputError):
-        minimal_polynomial(recs, power=0)
-
-
 def test_minimal_polynomial_snap_failure_on_genuine_nonintegrality():
     # level 2 over discriminant -8: coefficients are rational with a
     # 2-power denominator, far outside any rounding tolerance

@@ -12,9 +12,9 @@ from siegelcm import (
     NotNegativeError,
     QuadForm,
     class_number,
+    principal_form,
     reduced_forms,
     theta,
-    theta_min_poly,
     theta_of_form,
     validate_discriminant,
 )
@@ -143,11 +143,11 @@ def test_theta_of_form_checks_discriminant():
         theta_of_form(QuadForm(1, 0, 5), validate_discriminant(-24))
 
 
-def test_theta_min_poly():
-    assert theta_min_poly(validate_discriminant(-20)) == theta_min_poly(validate_discriminant(-20))
-    p = theta_min_poly(validate_discriminant(-20))
-    assert (p.B, p.C) == (0, 5)
-    p = theta_min_poly(validate_discriminant(-7))
-    assert (p.B, p.C) == (1, 2)
-    p = theta_min_poly(validate_discriminant(-4))
-    assert (p.B, p.C) == (0, 1)
+def test_principal_form():
+    assert principal_form(validate_discriminant(-20)) == QuadForm(1, 0, 5)
+    assert principal_form(validate_discriminant(-7)) == QuadForm(1, 1, 2)
+    assert principal_form(validate_discriminant(-4)) == QuadForm(1, 0, 1)
+    for d in CLASS_NUMBERS:
+        disc = validate_discriminant(d)
+        assert principal_form(disc) == reduced_forms(disc)[0]
+        assert theta(disc) == theta_of_form(principal_form(disc), disc)

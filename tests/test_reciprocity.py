@@ -16,8 +16,8 @@ from siegelcm import (
     beta_local,
     beta_modN,
     conjugate_indices,
+    principal_form,
     reduced_forms,
-    theta_min_poly,
     validate_discriminant,
     w_group,
 )
@@ -144,12 +144,12 @@ def test_w_group_quotient_sizes():
     # raw (t, s) pairs with unit determinant, counted independently
     for d_int, N in [(-20, 6), (-7, 5), (-23, 8), (-20, 2), (-7, 2), (-11, 4)]:
         d = validate_discriminant(d_int)
-        poly = theta_min_poly(d)
+        _, b, c = principal_form(d).as_tuple()
         raw = sum(
             1
             for t in range(N)
             for s in range(N)
-            if gcd(t * t - poly.B * s * t + poly.C * s * s, N) == 1
+            if gcd(t * t - b * s * t + c * s * s, N) == 1
         )
         classes = len(w_group(d, N))
         if N == 2:
@@ -161,11 +161,11 @@ def test_w_group_quotient_sizes():
 def test_w_elements_have_w_shape_and_unit_det():
     for d_int, N in [(-20, 6), (-23, 9), (-8, 12)]:
         d = validate_discriminant(d_int)
-        poly = theta_min_poly(d)
+        _, b, c = principal_form(d).as_tuple()
         for m in w_group(d, N):
             t, s = m.m22, m.m21
-            assert m.m11 == (t - poly.B * s) % N
-            assert m.m12 == (-poly.C * s) % N
+            assert m.m11 == (t - b * s) % N
+            assert m.m12 == (-c * s) % N
             assert gcd(m.det(), N) == 1
             assert m.canonical() == m
 
