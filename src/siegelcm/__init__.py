@@ -34,7 +34,6 @@ from .normal_basis import (
 )
 from .quadforms import (
     QuadForm,
-    class_number,
     principal_form,
     reduced_forms,
     theta,
@@ -74,7 +73,6 @@ __all__ = [
     "beta_local",
     "beta_modN",
     "check_criterion",
-    "class_number",
     "conjugate_indices",
     "conjugates",
     "context",

@@ -27,7 +27,6 @@ from .errors import EvaluationError, InputError
 from .exactmath import DEFAULT_PRECISION, context
 from .normal_basis import (
     ConjugateRecord,
-    CriterionReport,
     check_criterion,
     conjugates,
     minimal_polynomial,
@@ -73,16 +72,6 @@ def format_complex(z) -> str:
     return f"{re}{sign}{im}i"
 
 
-def _criterion_payload(report: CriterionReport) -> dict:
-    return {
-        "passes": report.passes,
-        "max_ratio": report.max_ratio,
-        "m": report.m,
-        "group_order": report.group_order,
-        "ratios": list(report.ratios),
-    }
-
-
 def _conjugate_rows(records: list[ConjugateRecord]) -> list[dict]:
     rows = []
     for rec in records:
@@ -126,7 +115,7 @@ def _compute(config: RunConfig) -> dict:
         return {
             "count": len(records),
             "conjugates": _conjugate_rows(records),
-            "criterion": _criterion_payload(report),
+            "criterion": vars(report),
         }
 
     # minpoly
@@ -134,7 +123,7 @@ def _compute(config: RunConfig) -> dict:
         raise EvaluationError("certificate failed; no polynomial is produced")
     poly = minimal_polynomial(records)
     return {
-        "criterion": _criterion_payload(report),
+        "criterion": vars(report),
         "degree": poly.degree,
         "coefficients": [str(c) for c in poly.coefficients],
         "max_rounding_residual": poly.max_rounding_residual,
@@ -151,10 +140,10 @@ def _text_lines(prefix: str, value, out: list[str]):
     if isinstance(value, dict):
         for k, v in value.items():
             _text_lines(f"{prefix}{k}.", v, out)
-    elif isinstance(value, list) and value and isinstance(value[0], (dict, list)):
+    elif isinstance(value, (list, tuple)) and value and isinstance(value[0], (dict, list)):
         for i, v in enumerate(value):
             _text_lines(f"{prefix}{i}.", v, out)
-    elif isinstance(value, list):
+    elif isinstance(value, (list, tuple)):
         out.append(f"{prefix[:-1]}: {' '.join(str(v) for v in value)}")
     else:
         out.append(f"{prefix[:-1]}: {value}")

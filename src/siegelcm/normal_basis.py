@@ -60,7 +60,7 @@ class ConjugateRecord:
 
 @dataclass(frozen=True)
 class CriterionReport:
-    """Certificate data for one run.
+    """Certificate data for one run, fields in the order the CLI prints them.
 
     ``ratios`` are |x^gamma / x| per non-identity conjugate, in index
     order.  ``max_ratio`` is their maximum plus the 2^-64 safety margin;
@@ -69,11 +69,11 @@ class CriterionReport:
     integer with max_ratio^m <= 1/group_order.
     """
 
-    ratios: tuple[float, ...]
-    max_ratio: float
     passes: bool
+    max_ratio: float
     m: int | None
     group_order: int
+    ratios: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -114,8 +114,8 @@ def conjugates(
     base = FracVector.make(0, 1, N)
     records = []
     for Q, indices in groupby(conjugate_indices(d, N), key=attrgetter("form")):
-        beta = beta_modN(Q, d, N)
-        point = theta_of_form(Q, d)
+        beta = beta_modN(Q, N)
+        point = theta_of_form(Q)
         tau = to_complex(point, precision + DEFAULT_GUARD)
         for idx in indices:
             vector = act_vector(base, idx.alpha * beta)
@@ -150,7 +150,9 @@ def least_certifying_power(max_ratio, group_order: int) -> int:
         return 1
     bound = Fraction(1, group_order)
     ctx = context(128)
-    log_ratio = ctx.log(ctx.mpf(ratio.numerator) / ratio.denominator)
+    # log1p of the exact gap: log of the rounded ratio is 0 within 2^-128 of 1
+    gap = 1 - ratio
+    log_ratio = ctx.log1p(-ctx.mpf(gap.numerator) / gap.denominator)
     estimate = max(1, int(ctx.ceil(-ctx.log(group_order) / log_ratio)))
     if estimate > 10**4:
         return estimate
@@ -184,11 +186,11 @@ def check_criterion(records: list[ConjugateRecord]) -> CriterionReport:
     passes = margined < 1
     m = least_certifying_power(margined, len(records)) if passes else None
     return CriterionReport(
-        ratios=tuple(float(r) for r in ratios),
-        max_ratio=float(margined),
         passes=passes,
+        max_ratio=float(margined),
         m=m,
         group_order=len(records),
+        ratios=tuple(float(r) for r in ratios),
     )
 
 

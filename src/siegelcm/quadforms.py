@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .errors import NotCongruentError, NotFundamentalError, NotNegativeError
+from .errors import InputError, NotCongruentError, NotFundamentalError, NotNegativeError
 from .exactmath import QuadIrrational
 
 
@@ -53,7 +53,9 @@ class Discriminant:
 
 
 def validate_discriminant(d: int) -> Discriminant:
-    """Check d < 0, d = 0 or 1 mod 4, and the squarefree conditions."""
+    """Check d is an integer < 0, 0 or 1 mod 4, and the squarefree conditions."""
+    if int(d) != d:
+        raise InputError(f"discriminant must be an integer, got {d}")
     return Discriminant(int(d))
 
 
@@ -108,10 +110,6 @@ def reduced_forms(d: Discriminant) -> list[QuadForm]:
     return out
 
 
-def class_number(d: Discriminant) -> int:
-    return len(reduced_forms(d))
-
-
 def principal_form(d: Discriminant) -> QuadForm:
     """The principal form (1, B, C): B = d mod 2 and C = (B - d)/4.
 
@@ -121,13 +119,11 @@ def principal_form(d: Discriminant) -> QuadForm:
     return QuadForm(1, B, (B - d.d) // 4)
 
 
-def theta_of_form(Q: QuadForm, d: Discriminant) -> QuadIrrational:
-    """The CM point (-b + sqrt(d))/(2a) attached to a reduced form."""
-    if Q.discriminant != d.d:
-        raise ValueError(f"form {Q.as_tuple()} does not have discriminant {d.d}")
-    return QuadIrrational(p=-Q.b, q=2 * Q.a, d=d.d)
+def theta_of_form(Q: QuadForm) -> QuadIrrational:
+    """The CM point (-b + sqrt(b^2 - 4ac))/(2a) of Q, from (a, b, c) alone."""
+    return QuadIrrational(p=-Q.b, q=2 * Q.a, d=Q.discriminant)
 
 
 def theta(d: Discriminant) -> QuadIrrational:
     """The standard generator (-B + sqrt(d))/2, the CM point of the principal form."""
-    return theta_of_form(principal_form(d), d)
+    return theta_of_form(principal_form(d))

@@ -1,4 +1,4 @@
-"""Reciprocity matrices: local case tables, CRT lifts, and the W group.
+"""Reciprocity matrices: local case tables, their CRT lift, and the W group.
 
 Everything here lives in GL_2(Z/NZ) modulo +-identity.  A total,
 deterministic choice of representative is needed for equality tests and
@@ -13,9 +13,8 @@ smaller of (v, w) and (-v, -w) as least nonnegative residues.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd
 
 from .errors import ExcludedFieldError, InputError
 from .quadforms import Discriminant, QuadForm, principal_form, reduced_forms
@@ -24,10 +23,9 @@ IntMatrix = tuple[tuple[int, int], tuple[int, int]]
 
 
 def _require_level(N: int) -> int:
-    N = int(N)
-    if N < 2:
-        raise InputError(f"level must be >= 2, got {N}")
-    return N
+    if int(N) != N or N < 2:
+        raise InputError(f"level must be an integer >= 2, got {N}")
+    return int(N)
 
 
 @dataclass(frozen=True)
@@ -52,10 +50,6 @@ class MatrixModN:
     def make(cls, m11, m12, m21, m22, modulus) -> "MatrixModN":
         n = _require_level(modulus)
         return cls(m11 % n, m12 % n, m21 % n, m22 % n, n)
-
-    @classmethod
-    def identity(cls, modulus) -> "MatrixModN":
-        return cls.make(1, 0, 0, 1, modulus)
 
     def entries(self) -> tuple[int, int, int, int]:
         return (self.m11, self.m12, self.m21, self.m22)
@@ -119,16 +113,15 @@ class ConjugateIndex:
     form: QuadForm
 
 
-def beta_local(Q: QuadForm, d: Discriminant, p: int) -> IntMatrix:
+def beta_local(Q: QuadForm, p: int) -> IntMatrix:
     """The local matrix attached to (Q, p), by the three-way case table.
 
     The split is on p | a and p | c; primitivity of Q forbids p dividing
     all of a, b, c, so the table is total and its determinant (a, c, or
     a + b + c in the respective cases) is prime to p.  b has the parity of
-    d, and lo, hi are b halved down and up to integers, so lo + hi = b.
+    Q's own discriminant b^2 - 4ac, and lo, hi are b halved down and up to
+    integers, so lo + hi = b.
     """
-    if Q.discriminant != d.d:
-        raise ValueError(f"form {Q.as_tuple()} does not have discriminant {d.d}")
     a, b, c = Q.a, Q.b, Q.c
     lo, hi = (b - b % 2) // 2, (b + b % 2) // 2
     if a % p:
@@ -153,29 +146,23 @@ def _prime_powers(N: int) -> list[tuple[int, int]]:
     return out
 
 
-def _crt(residues: list[int], moduli: list[int]) -> int:
-    m = prod(moduli)
-    x = 0
-    for r, mi in zip(residues, moduli):
-        q = m // mi
-        x += r * q * pow(q, -1, mi)
-    return x % m
-
-
-def beta_modN(Q: QuadForm, d: Discriminant, N: int) -> MatrixModN:
+def beta_modN(Q: QuadForm, N: int) -> MatrixModN:
     """Glue the local matrices mod p^e along every p^e || N, canonically.
 
-    Each entry is lifted by the Chinese remainder theorem from its
-    residues mod the prime powers of N; the result is invertible mod N
-    and returned as its +-1 class representative.
+    One Chinese-remainder pass lifts the whole matrix: with rest = N/p^e,
+    e_p = rest * (rest^-1 mod p^e) is 1 mod p^e and 0 mod N/p^e, so
+    sum_p e_p beta_local(Q, p) agrees with each local matrix mod its p^e.
+    The result is invertible mod N and returned as its +-1 class
+    representative.
     """
     N = _require_level(N)
-    pps = _prime_powers(N)
-    locals_ = {p: beta_local(Q, d, p) for p, _ in pps}
-    flat = []
-    for i, j in itertools.product(range(2), range(2)):
-        flat.append(_crt([locals_[p][i][j] % pe for p, pe in pps], [pe for _, pe in pps]))
-    return MatrixModN.make(*flat, N).canonical()
+    beta = (0, 0, 0, 0)
+    for p, pe in _prime_powers(N):
+        rest = N // pe
+        e_p = rest * pow(rest, -1, pe)
+        (m11, m12), (m21, m22) = beta_local(Q, p)
+        beta = tuple(x + e_p * m for x, m in zip(beta, (m11, m12, m21, m22)))
+    return MatrixModN.make(*beta, N).canonical()
 
 
 def w_group(d: Discriminant, N: int) -> list[MatrixModN]:

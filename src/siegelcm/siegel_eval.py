@@ -87,9 +87,9 @@ def siegel_power(
     depend only on the class of +-(v/N, w/N) mod Z^2, which is what allows
     labelling conjugates by canonical vectors.
     """
+    if int(level) != level or level < 2:
+        raise InputError(f"level must be an integer >= 2, got {level}")
     level = int(level)
-    if level < 2:
-        raise InputError(f"level must be >= 2, got {level}")
     v, w = v % level, w % level
     if v == 0 and w == 0:
         raise InputError("(v, w) must be nonzero mod N")

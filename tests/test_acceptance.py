@@ -27,7 +27,6 @@ from siegelcm import (
     agreement_bits,
     beta_modN,
     check_criterion,
-    class_number,
     conjugates,
     minimal_polynomial,
     reduced_forms,
@@ -86,9 +85,9 @@ def test_criterion_1_class_group_of_minus_20():
 def test_criterion_2_reciprocity_data_of_minus_20():
     d = validate_discriminant(-20)
     q2 = reduced_forms(d)[1]
-    beta_modN(q2, d, 6), w_group(d, 6)  # warm-up
+    beta_modN(q2, 6), w_group(d, 6)  # warm-up
     start = time.perf_counter()
-    beta = beta_modN(q2, d, 6)
+    beta = beta_modN(q2, 6)
     group = [el.entries() for el in w_group(d, 6)]
     elapsed = time.perf_counter() - start
     expected_w = [(1, 0, 0, 1), (0, 1, 1, 0), (2, 3, 3, 2), (3, 2, 2, 3)]
@@ -173,7 +172,7 @@ def test_criterion_5_property_grid():
             if not crit.passes:
                 failures.append(f"{pair}: certificate failed")
             # (b) the record count is the index-set size #W/{+-1} * h
-            expected_degree = len(w_group(d, N)) * class_number(d)
+            expected_degree = len(w_group(d, N)) * len(forms)
             if len(records) != expected_degree:
                 failures.append(f"{pair}: degree {len(records)} != {expected_degree}")
             # (c) snapping outcomes are precision-stable: identical integers
@@ -206,7 +205,7 @@ def test_criterion_5_property_grid():
                     failures.append(f"{pair}: residual too small for genuine non-integrality")
             # (d) every lifted matrix is invertible mod N
             for q in forms:
-                if gcd(beta_modN(q, d, N).det(), N) != 1:
+                if gcd(beta_modN(q, N).det(), N) != 1:
                     failures.append(f"{pair}: beta of {q.as_tuple()} not a unit")
             # (e) sign and translation invariance of the power at working precision
             tau = to_complex(theta(d), 128 + 64)

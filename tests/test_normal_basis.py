@@ -20,11 +20,11 @@ from siegelcm import (
     SnapFailureError,
     agreement_bits,
     check_criterion,
-    class_number,
     conjugates,
     context,
     least_certifying_power,
     minimal_polynomial,
+    reduced_forms,
     rounded,
     siegel_power,
     siegel_ramachandra_invariant,
@@ -196,6 +196,11 @@ def test_least_certifying_power_near_one():
     assert m > 10**4
     # sanity: m * log(ratio) <= log(1/8) up to the estimate's precision
     assert m >= 2**100 * 2  # log(8) / -log(1 - 2^-100) ~ 2.08 * 2^100
+    # within 2^-128 of 1 the rounded ratio's log is 0; m must stay finite and right
+    ctx = context(512)
+    expected = ctx.log(8) / -ctx.log1p(-ctx.mpf(2) ** -200)
+    m = least_certifying_power(1 - Fraction(1, 2**200), 8)
+    assert abs(m - expected) <= expected * ctx.mpf(2) ** -120
 
 
 def test_minimal_polynomial_level_six_run(records_20_6):
@@ -254,7 +259,7 @@ def test_polynomial_degree_equals_group_order():
     for d_int, N in [(-20, 6), (-7, 2), (-20, 2), (-15, 3)]:
         d = validate_discriminant(d_int)
         recs = conjugates(d, N, precision=128)
-        assert len(recs) == len(w_group(d, N)) * class_number(d)
+        assert len(recs) == len(w_group(d, N)) * len(reduced_forms(d))
 
 
 def test_invariant_identity_level_six(records_20_6):

@@ -7,11 +7,11 @@ from math import gcd
 import pytest
 
 from siegelcm import (
+    InputError,
     NotCongruentError,
     NotFundamentalError,
     NotNegativeError,
     QuadForm,
-    class_number,
     principal_form,
     reduced_forms,
     theta,
@@ -44,6 +44,8 @@ def test_validate_rejections():
         validate_discriminant(-63)  # 9 * -7
     with pytest.raises(NotFundamentalError):
         validate_discriminant(-100)  # 4 * (-25)
+    with pytest.raises(InputError):
+        validate_discriminant(-20.9)  # not truncated to -20
 
 
 def test_validation_agrees_with_oracle_below_200():
@@ -94,7 +96,7 @@ def test_emitted_forms_satisfy_all_invariants():
 
 def test_class_numbers_match_independent_table():
     for d, h in CLASS_NUMBERS.items():
-        assert class_number(validate_discriminant(d)) == h, f"h({d})"
+        assert len(reduced_forms(validate_discriminant(d))) == h, f"h({d})"
 
 
 def test_quadform_constructor_rejects_bad_forms():
@@ -109,7 +111,7 @@ def test_quadform_constructor_rejects_bad_forms():
 
 
 def test_theta_examples():
-    assert theta(validate_discriminant(-20)) == theta_of_form(QuadForm(1, 0, 5), validate_discriminant(-20))
+    assert theta(validate_discriminant(-20)) == theta_of_form(QuadForm(1, 0, 5))
     t = theta(validate_discriminant(-20))
     assert (t.p, t.q, t.d) == (0, 2, -20)
     t = theta(validate_discriminant(-7))
@@ -119,12 +121,10 @@ def test_theta_examples():
 
 
 def test_theta_of_form_examples():
-    d = validate_discriminant(-20)
-    assert theta_of_form(QuadForm(1, 0, 5), d) == theta(d)
-    t = theta_of_form(QuadForm(2, 2, 3), d)
+    assert theta_of_form(QuadForm(1, 0, 5)) == theta(validate_discriminant(-20))
+    t = theta_of_form(QuadForm(2, 2, 3))
     assert (t.p, t.q, t.d) == (-2, 4, -20)  # (-2 + sqrt(-20))/4 = (-1 + sqrt(-5))/2
-    d23 = validate_discriminant(-23)
-    t = theta_of_form(QuadForm(1, 1, 6), d23)
+    t = theta_of_form(QuadForm(1, 1, 6))
     assert (t.p, t.q, t.d) == (-1, 2, -23)
 
 
@@ -132,15 +132,10 @@ def test_theta_of_principal_form_equals_theta():
     for d in CLASS_NUMBERS:
         disc = validate_discriminant(d)
         principal = reduced_forms(disc)[0]
-        tq = theta_of_form(principal, disc)
+        tq = theta_of_form(principal)
         t = theta(disc)
         # both live over q = 2; equality is exact structural equality
         assert (tq.p, tq.q, tq.d) == (t.p, t.q, t.d)
-
-
-def test_theta_of_form_checks_discriminant():
-    with pytest.raises(ValueError):
-        theta_of_form(QuadForm(1, 0, 5), validate_discriminant(-24))
 
 
 def test_principal_form():
@@ -150,4 +145,4 @@ def test_principal_form():
     for d in CLASS_NUMBERS:
         disc = validate_discriminant(d)
         assert principal_form(disc) == reduced_forms(disc)[0]
-        assert theta(disc) == theta_of_form(principal_form(disc), disc)
+        assert theta(disc) == theta_of_form(principal_form(disc))

@@ -10,6 +10,7 @@ import pytest
 from siegelcm import (
     ExcludedFieldError,
     FracVector,
+    InputError,
     MatrixModN,
     QuadForm,
     act_vector,
@@ -29,55 +30,52 @@ D20 = validate_discriminant(-20)
 
 def test_beta_local_even_discriminant_cases():
     q = QuadForm(2, 2, 3)
-    assert beta_local(q, D20, 2) == ((-1, -3), (1, 0))  # p | a, p does not divide c
-    assert beta_local(q, D20, 3) == ((2, 1), (0, 1))  # p does not divide a
+    assert beta_local(q, 2) == ((-1, -3), (1, 0))  # p | a, p does not divide c
+    assert beta_local(q, 3) == ((2, 1), (0, 1))  # p does not divide a
     # the case with p dividing both outer coefficients
-    d356 = validate_discriminant(-356)
     q = QuadForm(6, 2, 15)
     assert q.discriminant == -356
-    assert beta_local(q, d356, 3) == ((-7, -16), (1, -1))
+    assert beta_local(q, 3) == ((-7, -16), (1, -1))
 
 
 def test_beta_local_odd_discriminant_cases():
-    d23 = validate_discriminant(-23)
-    assert beta_local(QuadForm(2, 1, 3), d23, 2) == ((-1, -3), (1, 0))
-    assert beta_local(QuadForm(2, 1, 3), d23, 5) == ((2, 0), (0, 1))
-    d359 = validate_discriminant(-359)
+    assert beta_local(QuadForm(2, 1, 3), 2) == ((-1, -3), (1, 0))
+    assert beta_local(QuadForm(2, 1, 3), 5) == ((2, 0), (0, 1))
     q = QuadForm(6, 1, 15)
     assert q.discriminant == -359
-    assert beta_local(q, d359, 3) == ((-7, -15), (1, -1))
+    assert beta_local(q, 3) == ((-7, -15), (1, -1))
 
 
 def test_beta_local_principal_form_is_identity():
     for p in (2, 3, 5, 7):
-        assert beta_local(QuadForm(1, 0, 5), D20, p) == ((1, 0), (0, 1))
-        assert beta_local(QuadForm(1, 1, 2), validate_discriminant(-7), p) == ((1, 0), (0, 1))
+        assert beta_local(QuadForm(1, 0, 5), p) == ((1, 0), (0, 1))
+        assert beta_local(QuadForm(1, 1, 2), p) == ((1, 0), (0, 1))
 
 
 def test_beta_local_case_determinants():
     # determinant is a, c, or a+b+c depending on the case, always prime to p
     cases = [
-        (QuadForm(2, 2, 3), D20, 3, 2),
-        (QuadForm(2, 2, 3), D20, 2, 3),
-        (QuadForm(6, 2, 15), validate_discriminant(-356), 3, 6 + 2 + 15),
+        (QuadForm(2, 2, 3), 3, 2),
+        (QuadForm(2, 2, 3), 2, 3),
+        (QuadForm(6, 2, 15), 3, 6 + 2 + 15),
     ]
-    for q, d, p, expected in cases:
-        (m11, m12), (m21, m22) = beta_local(q, d, p)
+    for q, p, expected in cases:
+        (m11, m12), (m21, m22) = beta_local(q, p)
         assert m11 * m22 - m12 * m21 == expected
         assert expected % p != 0
 
 
 def test_beta_modN_worked_example_values():
-    assert beta_modN(QuadForm(1, 0, 5), D20, 6).entries() == (1, 0, 0, 1)
-    assert beta_modN(QuadForm(2, 2, 3), D20, 6).entries() == (1, 5, 3, 2)
-    assert beta_modN(QuadForm(2, 2, 3), D20, 2).entries() == (1, 1, 1, 0)
+    assert beta_modN(QuadForm(1, 0, 5), 6).entries() == (1, 0, 0, 1)
+    assert beta_modN(QuadForm(2, 2, 3), 6).entries() == (1, 5, 3, 2)
+    assert beta_modN(QuadForm(2, 2, 3), 2).entries() == (1, 1, 1, 0)
 
 
 def test_beta_modN_crt_consistency():
     for d_int, N in [(-20, 6), (-20, 12), (-23, 10), (-84, 18), (-356, 6)]:
         d = validate_discriminant(d_int)
         for q in reduced_forms(d):
-            lifted = beta_modN(q, d, N)
+            lifted = beta_modN(q, N)
             n = N
             pps = []
             p = 2
@@ -95,7 +93,7 @@ def test_beta_modN_crt_consistency():
             for sign in (1, -1):
                 ok = True
                 for p, pe in pps:
-                    (a, b), (c, dd) = beta_local(q, d, p)
+                    (a, b), (c, dd) = beta_local(q, p)
                     local = tuple(x % pe for x in (a, b, c, dd))
                     got = tuple((sign * e) % pe for e in lifted.entries())
                     if got != local:
@@ -112,7 +110,7 @@ def test_beta_modN_unit_determinant_everywhere():
         forms = reduced_forms(d)
         for N in range(2, 31):
             for q in forms:
-                assert gcd(beta_modN(q, d, N).det(), N) == 1
+                assert gcd(beta_modN(q, N).det(), N) == 1
 
 
 def test_w_group_level_six_example():
@@ -174,7 +172,7 @@ def test_act_vector_examples():
     swap = MatrixModN.make(0, 1, 1, 0, 6)
     v = FracVector.make(0, 1, 6)
     assert act_vector(v, swap).as_tuple() == (1, 0)
-    assert act_vector(v, MatrixModN.identity(6)).as_tuple() == (0, 1)
+    assert act_vector(v, MatrixModN.make(1, 0, 0, 1, 6)).as_tuple() == (0, 1)
     m = MatrixModN.make(2, 3, 3, 2, 6)
     assert act_vector(v, m).as_tuple() == (3, 2)
 
@@ -232,6 +230,8 @@ def test_matrix_modn_validation():
         MatrixModN.make(2, 0, 0, 2, 6)  # det 4, gcd(4,6) = 2
     with pytest.raises(ValueError):
         MatrixModN(7, 0, 0, 1, 6)  # entries out of range
+    with pytest.raises(InputError):
+        MatrixModN.make(1, 0, 0, 1, 6.5)  # not truncated to level 6
     m = MatrixModN.make(5, 1, 3, 4, 6)
     assert m.canonical().entries() == (1, 5, 3, 2)
 

@@ -167,6 +167,8 @@ def test_params_validation():
         siegel_power(0, 1, TAU_I, 2, "-", precision=1)
     with pytest.raises(InputError):
         siegel_power(0, 1, TAU_I, 2, "-", guard=-1)
+    with pytest.raises(InputError):
+        siegel_power(0, 1, TAU_I, 6.9, "-")  # not truncated to level 6
 
 
 def test_precision_unachievable_on_tiny_imaginary_part():
