@@ -6,17 +6,7 @@ conjugates are strictly smaller than the base value, and produces the
 integer polynomial whose roots are the conjugates.
 """
 
-from .errors import (
-    DegenerateValueError,
-    EvaluationError,
-    ExcludedFieldError,
-    InputError,
-    NotCongruentError,
-    NotFundamentalError,
-    NotNegativeError,
-    PrecisionUnachievableError,
-    SnapFailureError,
-)
+from .errors import EvaluationError, InputError, SnapFailureError
 from .exactmath import (
     QuadIrrational,
     agreement_bits,
@@ -54,16 +44,10 @@ from .siegel_eval import power_exponent, siegel_power
 __version__ = "0.1.0"
 
 __all__ = [
-    "DegenerateValueError",
     "EvaluationError",
-    "ExcludedFieldError",
     "FracVector",
     "InputError",
     "MatrixModN",
-    "NotCongruentError",
-    "NotFundamentalError",
-    "NotNegativeError",
-    "PrecisionUnachievableError",
     "QuadForm",
     "QuadIrrational",
     "SnapFailureError",

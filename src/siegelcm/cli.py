@@ -4,9 +4,8 @@ One parser takes the subcommand and the flags ``--disc``, ``-N/--level``,
 ``--precision`` and ``--format``.  The numeric policy is fixed in the
 library: 64 guard bits during evaluation and a snap tolerance of 1e-10.
 
-Exit codes: 0 success, 2 rejected input (bad discriminant, excluded field,
-level missing or < 2, precision < 64), 3 evaluation failure (snap or
-precision).
+Exit codes: 0 success, 2 rejected input (``InputError``), 3 evaluation
+failure (``EvaluationError``); ``errors`` lists what raises each.
 Reports go to stdout as JSON (default) or text; both carry the same
 numbers.  High-precision values are rendered as decimal strings so no
 precision is lost to binary floats, and output for a fixed configuration
@@ -24,7 +23,7 @@ from dataclasses import asdict, dataclass
 from math import ceil
 
 from .errors import EvaluationError, InputError
-from .exactmath import DEFAULT_PRECISION, context
+from .exactmath import DEFAULT_PRECISION, context, require_level
 from .normal_basis import (
     ConjugateRecord,
     check_criterion,
@@ -52,7 +51,9 @@ class RunConfig:
             raise InputError(f"unknown subcommand {self.subcommand!r}")
         if self.precision < MIN_PRECISION:
             raise InputError(f"precision must be >= {MIN_PRECISION} bits")
-        if self.subcommand != "forms" and (self.level is None or self.level < 2):
+        if self.level is not None:
+            require_level(self.level)
+        elif self.subcommand != "forms":
             raise InputError("level must be an integer >= 2")
         if self.format not in ("json", "text"):
             raise InputError(f"unknown format {self.format!r}")

@@ -1,8 +1,19 @@
-"""Exception types shared across the package.
+"""The package's two exception families; each message names the rule that fired.
 
-Two families: bad inputs (rejected up front, CLI exit code 2) and
-evaluation failures (valid inputs whose computation cannot be completed
-as requested, CLI exit code 3).
+``InputError`` (CLI exit code 2) rejects an argument outside the domain: a
+discriminant that is not negative, 0 or 1 mod 4 and fundamental
+(``validate_discriminant``), d in {-3, -4} (``w_group``), a level that is
+not an integer >= 2 (``exactmath.require_level``), a precision that is not
+an integer >= 2 (``exactmath.context``), a value outside the invariants of
+``QuadIrrational``, ``QuadForm``, ``MatrixModN`` or ``FracVector`` or with
+mismatched moduli, and the other argument checks of ``siegel_power``,
+``normal_basis`` and the CLI's ``RunConfig``.
+
+``EvaluationError`` (CLI exit code 3) reports valid inputs whose computation
+cannot be completed: a truncation index above its cap (``siegel_power``), a
+zero or NaN conjugate (``check_criterion``), coefficients that do not snap
+(``minimal_polynomial``, ``SnapFailureError``) and a failed certificate
+(the CLI's ``minpoly``).
 """
 
 
@@ -10,32 +21,8 @@ class InputError(ValueError):
     """Invalid input: bad discriminant, excluded field, level < 2, ..."""
 
 
-class NotNegativeError(InputError):
-    """Discriminant is >= 0."""
-
-
-class NotCongruentError(InputError):
-    """Discriminant is not 0 or 1 mod 4."""
-
-
-class NotFundamentalError(InputError):
-    """Discriminant fails the squarefree conditions of a field discriminant."""
-
-
-class ExcludedFieldError(InputError):
-    """d in {-3, -4}: the matrix-group index set would overcount there."""
-
-
 class EvaluationError(RuntimeError):
     """A computation could not be completed at the requested settings."""
-
-
-class PrecisionUnachievableError(EvaluationError):
-    """The truncation index needed for the target precision exceeds the cap."""
-
-
-class DegenerateValueError(EvaluationError):
-    """A singular value is zero (underflow) or NaN at working precision."""
 
 
 class SnapFailureError(EvaluationError):

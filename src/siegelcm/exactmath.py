@@ -28,16 +28,25 @@ DEFAULT_GUARD = 64
 def context(bits: int) -> mpmath.ctx_mp.MPContext:
     """An isolated mpmath context with working precision ``bits``.
 
+    The package's one precision check: ``bits`` must be an integer >= 2.
     Its mpf and mpc classes are the clone's own, which pickle cannot find
     by name, so they are pickled as (bits, raw tuple) instead.
     """
-    if bits < 2:
-        raise InputError(f"working precision must be >= 2 bits, got {bits}")
+    if int(bits) != bits or bits < 2:
+        raise InputError(f"working precision must be an integer >= 2 bits, got {bits}")
+    bits = int(bits)
     ctx = mpmath.mp.clone()
     ctx.prec = bits
     copyreg.pickle(ctx.mpf, lambda x: (_unpickle, (bits, x._mpf_)))
     copyreg.pickle(ctx.mpc, lambda z: (_unpickle, (bits, z._mpc_)))
     return ctx
+
+
+def require_level(N: int) -> int:
+    """N as an int if it is an integer >= 2, the level of a ray class field."""
+    if int(N) != N or N < 2:
+        raise InputError(f"level must be an integer >= 2, got {N}")
+    return int(N)
 
 
 def _unpickle(bits: int, raw):

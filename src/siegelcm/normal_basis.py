@@ -18,7 +18,7 @@ from operator import attrgetter
 
 import mpmath
 
-from .errors import DegenerateValueError, InputError, SnapFailureError
+from .errors import EvaluationError, InputError, SnapFailureError
 from .exactmath import (
     DEFAULT_GUARD,
     DEFAULT_PRECISION,
@@ -179,7 +179,7 @@ def check_criterion(records: list[ConjugateRecord]) -> CriterionReport:
     base = moduli[0]
     # m > 0 is false for NaN too, so all ratios compare and max() is exact
     if not (all(m > 0 for m in moduli) and ctx.isfinite(base)):
-        raise DegenerateValueError("a conjugate is zero or NaN, or the base is infinite")
+        raise EvaluationError("a conjugate is zero or NaN, or the base is infinite")
     ratios = [ctx.fdiv(m, base) for m in moduli[1:]]
     raw_max = _exact_fraction(max(ratios)) if ratios else Fraction(0)
     margined = raw_max + RATIO_SAFETY_MARGIN

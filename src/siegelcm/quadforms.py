@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .errors import InputError, NotCongruentError, NotFundamentalError, NotNegativeError
+from .errors import InputError
 from .exactmath import QuadIrrational
 
 
@@ -39,17 +39,17 @@ class Discriminant:
 
     def __post_init__(self):
         if self.d >= 0:
-            raise NotNegativeError(f"discriminant must be negative, got {self.d}")
+            raise InputError(f"discriminant must be negative, got {self.d}")
         r = self.d % 4
         if r not in (0, 1):
-            raise NotCongruentError(f"discriminant must be 0 or 1 mod 4, got {self.d}")
+            raise InputError(f"discriminant must be 0 or 1 mod 4, got {self.d}")
         if r == 1:
             ok = _squarefree(self.d)
         else:
             m = self.d // 4
             ok = m % 4 in (2, 3) and _squarefree(m)
         if not ok:
-            raise NotFundamentalError(f"{self.d} is not a fundamental discriminant")
+            raise InputError(f"{self.d} is not a fundamental discriminant")
 
 
 def validate_discriminant(d: int) -> Discriminant:
@@ -69,14 +69,14 @@ class QuadForm:
 
     def __post_init__(self):
         if self.a <= 0:
-            raise ValueError(f"form must be positive definite: a = {self.a}")
+            raise InputError(f"form must be positive definite: a = {self.a}")
         if self.discriminant >= 0:
-            raise ValueError(f"form must have negative discriminant: {self.as_tuple()}")
+            raise InputError(f"form must have negative discriminant: {self.as_tuple()}")
         if gcd(gcd(self.a, self.b), self.c) != 1:
-            raise ValueError(f"form must be primitive: {self.as_tuple()}")
+            raise InputError(f"form must be primitive: {self.as_tuple()}")
         reduced = (-self.a < self.b <= self.a < self.c) or (0 <= self.b <= self.a == self.c)
         if not reduced:
-            raise ValueError(f"form is not reduced: {self.as_tuple()}")
+            raise InputError(f"form is not reduced: {self.as_tuple()}")
 
     @property
     def discriminant(self) -> int:

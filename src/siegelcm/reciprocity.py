@@ -16,16 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import ExcludedFieldError, InputError
+from .errors import InputError
+from .exactmath import require_level
 from .quadforms import Discriminant, QuadForm, principal_form, reduced_forms
 
 IntMatrix = tuple[tuple[int, int], tuple[int, int]]
-
-
-def _require_level(N: int) -> int:
-    if int(N) != N or N < 2:
-        raise InputError(f"level must be an integer >= 2, got {N}")
-    return int(N)
 
 
 @dataclass(frozen=True)
@@ -39,16 +34,15 @@ class MatrixModN:
     modulus: int
 
     def __post_init__(self):
-        _require_level(self.modulus)
-        n = self.modulus
+        n = require_level(self.modulus)
         if not all(0 <= e < n for e in self.entries()):
-            raise ValueError(f"entries must be residues mod {n}: {self.entries()}")
+            raise InputError(f"entries must be residues mod {n}: {self.entries()}")
         if gcd(self.det(), n) != 1:
-            raise ValueError(f"matrix {self.entries()} is not invertible mod {n}")
+            raise InputError(f"matrix {self.entries()} is not invertible mod {n}")
 
     @classmethod
     def make(cls, m11, m12, m21, m22, modulus) -> "MatrixModN":
-        n = _require_level(modulus)
+        n = require_level(modulus)
         return cls(m11 % n, m12 % n, m21 % n, m22 % n, n)
 
     def entries(self) -> tuple[int, int, int, int]:
@@ -67,7 +61,7 @@ class MatrixModN:
 
     def __mul__(self, other: "MatrixModN") -> "MatrixModN":
         if self.modulus != other.modulus:
-            raise ValueError("matrix product needs matching moduli")
+            raise InputError("matrix product needs matching moduli")
         n = self.modulus
         return MatrixModN(
             (self.m11 * other.m11 + self.m12 * other.m21) % n,
@@ -87,17 +81,17 @@ class FracVector:
     modulus: int
 
     def __post_init__(self):
-        n = _require_level(self.modulus)
+        n = require_level(self.modulus)
         if not (0 <= self.v < n and 0 <= self.w < n):
-            raise ValueError(f"vector entries must be residues mod {n}")
+            raise InputError(f"vector entries must be residues mod {n}")
         if self.v == 0 and self.w == 0:
-            raise ValueError("vector must be nonzero mod Z^2")
+            raise InputError("vector must be nonzero mod Z^2")
         if (self.v, self.w) != min((self.v, self.w), ((-self.v) % n, (-self.w) % n)):
-            raise ValueError(f"vector ({self.v}, {self.w}) is not sign-canonical")
+            raise InputError(f"vector ({self.v}, {self.w}) is not sign-canonical")
 
     @classmethod
     def make(cls, v: int, w: int, modulus: int) -> "FracVector":
-        n = _require_level(modulus)
+        n = require_level(modulus)
         v, w = v % n, w % n
         return cls(*min((v, w), ((-v) % n, (-w) % n)), n)
 
@@ -155,7 +149,7 @@ def beta_modN(Q: QuadForm, N: int) -> MatrixModN:
     The result is invertible mod N and returned as its +-1 class
     representative.
     """
-    N = _require_level(N)
+    N = require_level(N)
     beta = (0, 0, 0, 0)
     for p, pe in _prime_powers(N):
         rest = N // pe
@@ -176,9 +170,9 @@ def w_group(d: Discriminant, N: int) -> list[MatrixModN]:
     lexicographic in (t, s) = (m22, m21).  Rejects d in {-3, -4}, where
     the class count would overstate the Galois group.
     """
-    N = _require_level(N)
+    N = require_level(N)
     if d.d in (-3, -4):
-        raise ExcludedFieldError(f"d = {d.d} needs extra units; index set unsupported")
+        raise InputError(f"d = {d.d} needs extra units; index set unsupported")
     _, B, C = principal_form(d).as_tuple()
     group = {
         MatrixModN.make(t - B * s, -C * s, s, t, N).canonical()
@@ -192,7 +186,7 @@ def w_group(d: Discriminant, N: int) -> list[MatrixModN]:
 def act_vector(vec: FracVector, M: MatrixModN) -> FracVector:
     """Right action (v, w) -> (v, w) M mod N, reduced to canonical form."""
     if vec.modulus != M.modulus:
-        raise ValueError("vector and matrix moduli differ")
+        raise InputError("vector and matrix moduli differ")
     v, w = vec.v, vec.w
     return FracVector.make(v * M.m11 + w * M.m21, v * M.m12 + w * M.m22, vec.modulus)
 
@@ -203,7 +197,6 @@ def conjugate_indices(d: Discriminant, N: int) -> list[ConjugateIndex]:
     First entry is (identity, principal form); within each form the W
     classes come in w_group order.  The length is #W/{+-1} times h(d).
     """
-    N = _require_level(N)
     group = w_group(d, N)
     return [
         ConjugateIndex(alpha=alpha, form=Q)

@@ -22,8 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import InputError, PrecisionUnachievableError
-from .exactmath import DEFAULT_GUARD, DEFAULT_PRECISION, bernoulli2, context, rounded
+from .errors import EvaluationError, InputError
+from .exactmath import DEFAULT_GUARD, DEFAULT_PRECISION, bernoulli2, context, require_level
 
 # Reduced CM points have Im tau >= sqrt(3)/2, keeping M in the dozens even
 # at very high precision; the cap only trips on near-real direct calls.
@@ -33,7 +33,7 @@ MAX_TERMS = 10**6
 def _truncation_index(ctx, imag, bits: int) -> int:
     m = ctx.ceil(bits * ctx.ln2 / (2 * ctx.pi * imag)) + 2
     if m > MAX_TERMS:
-        raise PrecisionUnachievableError(
+        raise EvaluationError(
             f"truncation index {m} exceeds the cap of {MAX_TERMS} terms "
             f"(Im tau = {ctx.nstr(imag, 8)} is too small for {bits} working bits)"
         )
@@ -82,25 +82,24 @@ def siegel_power(
 ):
     """g_{(v/N, w/N)}(tau)^e for e = -12N/gcd(6, N), or +12N with sign '+'.
 
-    (v, w) may be any integers not congruent to (0, 0) mod N; they are
-    reduced into [0,1)^2 before evaluating.  Both exponents make the result
+    (v, w) may be any integers (or integral values) not congruent to
+    (0, 0) mod N; they are reduced into [0,1)^2 before evaluating.  Both exponents make the result
     depend only on the class of +-(v/N, w/N) mod Z^2, which is what allows
     labelling conjugates by canonical vectors.
     """
-    if int(level) != level or level < 2:
-        raise InputError(f"level must be an integer >= 2, got {level}")
-    level = int(level)
-    v, w = v % level, w % level
-    if v == 0 and w == 0:
-        raise InputError("(v, w) must be nonzero mod N")
+    level = require_level(level)
+    if int(v) != v or int(w) != w or (v % level == 0 and w % level == 0):
+        raise InputError(f"(v, w) must be integers, not both 0 mod N, got ({v}, {w})")
+    v, w = int(v) % level, int(w) % level
     if not tau.imag > 0:
         raise InputError("tau must lie in the upper half-plane")
-    if precision < 2 or guard < 0:
-        raise InputError(f"bad precision/guard: {precision}/{guard}")
+    if guard < 0:
+        raise InputError(f"guard must be >= 0 bits, got {guard}")
+    out = context(precision)
     work = precision + guard
     ctx = context(work)
-    tau_c = rounded(tau, work)
+    tau_c = ctx.mpc(tau)
     terms = _truncation_index(ctx, tau_c.imag, work)
     g = _raw_product(ctx, Fraction(v, level), Fraction(w, level), tau_c, terms)
     value = ctx.power(g, power_exponent(level, exponent_sign))
-    return rounded(value, precision)
+    return out.mpc(value)

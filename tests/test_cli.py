@@ -12,6 +12,7 @@ import pytest
 from siegelcm import cli
 from siegelcm.cli import RunConfig, format_complex, main, run, significant_digits
 from siegelcm.errors import InputError
+from siegelcm.normal_basis import CriterionReport
 
 from test_normal_basis import VERIFIED_POLY_20_6
 
@@ -60,6 +61,8 @@ def test_run_config_validation():
         RunConfig(subcommand="forms", disc=-20, level=None, precision=32)
     with pytest.raises(InputError):
         RunConfig(subcommand="minpoly", disc=-20, level=1)
+    with pytest.raises(InputError, match="got 1"):
+        RunConfig(subcommand="forms", disc=-20, level=1)  # a given level is checked too
     with pytest.raises(InputError):
         RunConfig(subcommand="minpoly", disc=-20, level=6, format="yaml")
     with pytest.raises(InputError):
@@ -95,6 +98,17 @@ def test_minpoly_snap_failure_exit_code():
     assert code == 3
     assert out == ""
     assert "not within" in err
+
+
+def test_minpoly_failed_certificate_exit_code(monkeypatch):
+    def failing(records):
+        return CriterionReport(passes=False, max_ratio=1.5, m=None, group_order=len(records), ratios=())
+
+    monkeypatch.setattr(cli, "check_criterion", failing)
+    code, out, err = run_cli(["minpoly", "--disc", "-20", "-N", "6"])
+    assert code == 3
+    assert out == ""
+    assert "certificate failed" in err
 
 
 def test_conjugates_subcommand():
@@ -173,6 +187,15 @@ def test_main_rejects_low_precision(capsys):
     code = main(["forms", "--disc", "-20", "--precision", "16"])
     assert code == 2
     assert "precision" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("level", ["1", "-5"])
+def test_forms_rejects_bad_given_level(capsys, level):
+    code = main(["forms", "--disc", "-20", "-N", level])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"level must be an integer >= 2, got {level}" in captured.err
 
 
 def test_parser_requires_level_for_minpoly(capsys):

@@ -105,3 +105,5 @@ def test_no_global_precision_mutation():
 def test_context_rejects_tiny_precision():
     with pytest.raises(InputError):
         context(1)
+    with pytest.raises(InputError, match="integer"):
+        context(256.5)  # not truncated to 256

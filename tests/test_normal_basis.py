@@ -14,7 +14,7 @@ import pytest
 
 import siegelcm
 from siegelcm import (
-    DegenerateValueError,
+    EvaluationError,
     FracVector,
     InputError,
     SnapFailureError,
@@ -123,7 +123,7 @@ def test_check_criterion_single_record():
 def test_check_criterion_degenerate_value(records_20_6):
     zero = rounded(mpmath.mpc(0), 256)
     broken = [dataclasses.replace(records_20_6[0], value=zero)] + list(records_20_6[1:])
-    with pytest.raises(DegenerateValueError):
+    with pytest.raises(EvaluationError, match="zero or NaN"):
         check_criterion(broken)
 
 
@@ -134,7 +134,7 @@ def test_check_criterion_rejects_nan_and_infinite_base(records_20_6):
     for k, value in ((5, nan), (0, nan), (0, inf)):
         recs = list(records_20_6)
         recs[k] = dataclasses.replace(recs[k], value=value)
-        with pytest.raises(DegenerateValueError):
+        with pytest.raises(EvaluationError, match="zero or NaN"):
             check_criterion(recs)
 
 
@@ -174,6 +174,10 @@ def test_least_certifying_power_exact_boundaries():
     assert least_certifying_power(0.0, 8) == 1
     assert least_certifying_power(0.5, 1) == 1
     assert least_certifying_power(Fraction(1, 2), 8) == 3
+    # the 128-bit estimate is 8 here, so the exact walk steps down
+    assert least_certifying_power(Fraction(1, 8), 2**21) == 7  # (1/8)^7 = 2^-21
+    # the estimate is 130 here, so the exact walk steps up
+    assert least_certifying_power(Fraction(1, 2), 2**130 + 1) == 131
     with pytest.raises(InputError):
         least_certifying_power(1.0, 8)
     with pytest.raises(InputError):

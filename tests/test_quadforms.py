@@ -8,9 +8,6 @@ import pytest
 
 from siegelcm import (
     InputError,
-    NotCongruentError,
-    NotFundamentalError,
-    NotNegativeError,
     QuadForm,
     principal_form,
     reduced_forms,
@@ -32,17 +29,17 @@ def test_validate_accepts_fundamental():
 
 
 def test_validate_rejections():
-    with pytest.raises(NotNegativeError):
+    with pytest.raises(InputError, match="must be negative"):
         validate_discriminant(5)
-    with pytest.raises(NotNegativeError):
+    with pytest.raises(InputError, match="must be negative"):
         validate_discriminant(0)
-    with pytest.raises(NotCongruentError):
+    with pytest.raises(InputError, match="0 or 1 mod 4"):
         validate_discriminant(-14)  # 2 mod 4
-    with pytest.raises(NotFundamentalError):
+    with pytest.raises(InputError, match="not a fundamental"):
         validate_discriminant(-12)  # 4 * (-3), -3 = 1 mod 4
-    with pytest.raises(NotFundamentalError):
+    with pytest.raises(InputError, match="not a fundamental"):
         validate_discriminant(-63)  # 9 * -7
-    with pytest.raises(NotFundamentalError):
+    with pytest.raises(InputError, match="not a fundamental"):
         validate_discriminant(-100)  # 4 * (-25)
     with pytest.raises(InputError):
         validate_discriminant(-20.9)  # not truncated to -20
@@ -54,7 +51,7 @@ def test_validation_agrees_with_oracle_below_200():
         if expected:
             assert validate_discriminant(d).d == d
         else:
-            with pytest.raises((NotNegativeError, NotCongruentError, NotFundamentalError)):
+            with pytest.raises(InputError, match="0 or 1 mod 4|not a fundamental"):
                 validate_discriminant(d)
 
 
@@ -100,13 +97,13 @@ def test_class_numbers_match_independent_table():
 
 
 def test_quadform_constructor_rejects_bad_forms():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         QuadForm(2, 2, 4)  # imprimitive
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         QuadForm(3, 0, 2)  # not reduced (a > c)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         QuadForm(-1, 0, 5)  # not positive definite
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         QuadForm(1, 0, -5)  # positive discriminant
 
 

@@ -8,7 +8,6 @@ from math import gcd
 import pytest
 
 from siegelcm import (
-    ExcludedFieldError,
     FracVector,
     InputError,
     MatrixModN,
@@ -132,9 +131,9 @@ def test_w_group_small_levels():
 
 
 def test_w_group_rejects_excluded_fields():
-    with pytest.raises(ExcludedFieldError):
+    with pytest.raises(InputError, match="extra units"):
         w_group(validate_discriminant(-3), 5)
-    with pytest.raises(ExcludedFieldError):
+    with pytest.raises(InputError, match="extra units"):
         w_group(validate_discriminant(-4), 5)
 
 
@@ -218,18 +217,24 @@ def test_act_vector_never_hits_zero():
 
 
 def test_frac_vector_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         FracVector.make(0, 0, 6)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         FracVector(5, 4, 6)  # not canonical; make() would give (1, 2)
+    with pytest.raises(InputError, match="residues mod 6"):
+        FracVector(7, 1, 6)
+    with pytest.raises(InputError, match="moduli differ"):
+        act_vector(FracVector.make(0, 1, 6), MatrixModN.make(1, 0, 0, 1, 5))
     assert FracVector.make(6, 7, 6).as_tuple() == (0, 1)  # reduced mod N
 
 
 def test_matrix_modn_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         MatrixModN.make(2, 0, 0, 2, 6)  # det 4, gcd(4,6) = 2
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         MatrixModN(7, 0, 0, 1, 6)  # entries out of range
+    with pytest.raises(InputError, match="matching moduli"):
+        MatrixModN.make(1, 0, 0, 1, 6) * MatrixModN.make(1, 0, 0, 1, 5)
     with pytest.raises(InputError):
         MatrixModN.make(1, 0, 0, 1, 6.5)  # not truncated to level 6
     m = MatrixModN.make(5, 1, 3, 4, 6)
@@ -243,7 +248,7 @@ def test_conjugate_indices_counts_and_first():
     assert idx[0].form.as_tuple() == (1, 0, 5)
     assert len(conjugate_indices(validate_discriminant(-7), 2)) == 1
     assert len(conjugate_indices(D20, 2)) == 4
-    with pytest.raises(ExcludedFieldError):
+    with pytest.raises(InputError, match="extra units"):
         conjugate_indices(validate_discriminant(-4), 6)
 
 

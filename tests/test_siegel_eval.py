@@ -8,15 +8,17 @@ import mpmath
 import pytest
 
 from siegelcm import (
+    EvaluationError,
     InputError,
-    PrecisionUnachievableError,
     QuadIrrational,
     agreement_bits,
+    conjugates,
     context,
     power_exponent,
     rounded,
     siegel_power,
     to_complex,
+    validate_discriminant,
 )
 from siegelcm.siegel_eval import _raw_product, _truncation_index
 
@@ -169,12 +171,20 @@ def test_params_validation():
         siegel_power(0, 1, TAU_I, 2, "-", guard=-1)
     with pytest.raises(InputError):
         siegel_power(0, 1, TAU_I, 6.9, "-")  # not truncated to level 6
+    with pytest.raises(InputError, match="integer >= 2 bits"):
+        siegel_power(0, 1, TAU_I, 6, "-", precision=256.5)  # not truncated to 256
+    with pytest.raises(InputError, match="must be integers"):
+        siegel_power(0.5, 1, TAU_I, 6, "-")
+    # integral entries follow the level's rule and are accepted
+    assert siegel_power(1.0, 1, TAU_I, 6, "-") == siegel_power(1, 1, TAU_I, 6, "-")
+    with pytest.raises(InputError, match="integer >= 2 bits"):
+        conjugates(validate_discriminant(-20), 6, precision=256.5)
 
 
 def test_precision_unachievable_on_tiny_imaginary_part():
     # Im tau = 1e-5 at 256+64 bits needs M ~ 3.5e6 terms, above MAX_TERMS
     thin = rounded(mpmath.mpc(0, "1e-5"), 256)
-    with pytest.raises(PrecisionUnachievableError):
+    with pytest.raises(EvaluationError, match="exceeds the cap"):
         siegel_power(0, 1, thin, 2, "-")
     # Im tau = 0.01 at 64+16 bits needs M = 885 terms, within the cap
     low = rounded(mpmath.mpc(0, "0.01"), 256)
