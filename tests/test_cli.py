@@ -7,11 +7,12 @@ import io
 import json
 from pathlib import Path
 
+import mpmath
 import pytest
 
-from siegelcm import cli
-from siegelcm.cli import RunConfig, format_complex, main, run, significant_digits
-from siegelcm.errors import InputError
+from siegelcm import cli, conjugates, context, rounded, validate_discriminant
+from siegelcm.cli import RunConfig, format_complex, main, run
+from siegelcm.errors import EvaluationError, InputError
 from siegelcm.normal_basis import CriterionReport
 
 from test_normal_basis import VERIFIED_POLY_20_6
@@ -28,7 +29,7 @@ def test_forms_subcommand():
     code, out, err = run_cli(["forms", "--disc", "-20"])
     assert code == 0
     doc = json.loads(out)
-    assert doc["schema"] == 3
+    assert doc["schema"] == 4
     assert doc["config"]["subcommand"] == "forms"
     assert doc["result"]["class_number"] == 2
     assert doc["result"]["forms"] == [[1, 0, 5], [2, 2, 3]]
@@ -157,22 +158,46 @@ def test_precision_flag_changes_rendering():
     assert v128[:20] == v256[:20]  # same leading digits
 
 
-def test_significant_digits_rule():
-    assert significant_digits(256) == 77
-    assert significant_digits(128) == 39
-    assert significant_digits(64) == 20
-
-
 def test_format_complex_signs():
-    import mpmath
-
-    from siegelcm import rounded
-
-    # significant_digits(16) == 5
+    # at 16 bits |z| 2^-16 is about 4e-5, so the parts are rounded at 1e-5
     plus = rounded(mpmath.mpc(1.5, 2.5), 16)
     minus = rounded(mpmath.mpc(1.5, -2.5), 16)
     assert format_complex(plus) == "1.5+2.5i"
     assert format_complex(minus) == "1.5-2.5i"
+    # a part below the error bound |z| 2^-p prints as 0.0, never with its sign
+    assert format_complex(rounded(mpmath.mpc(1263806.75, 3.16e-91), 256)) == "1263806.75+0.0i"
+    assert format_complex(rounded(mpmath.mpc(1263806.75, -3.16e-91), 256)) == "1263806.75+0.0i"
+    assert format_complex(rounded(mpmath.mpc(-1e-30, -5), 64)) == "0.0-5.0i"
+    assert format_complex(rounded(mpmath.mpc(2**1000, 2**900), 64)).endswith("e+301+0.0i")
+    # 0.001 rounds to 0.00099998712 at 16 bits, printed to the place 1e-8
+    assert format_complex(rounded(mpmath.mpc(0.001, 1e-9), 16)) == "0.00099999+0.0i"
+    with pytest.raises(EvaluationError, match="non-finite"):
+        format_complex(rounded(mpmath.mpc(mpmath.nan, 1), 64))
+
+
+def _printed_parts(text, ctx):
+    body = text.removesuffix("i")
+    k = max(i for i, c in enumerate(body) if c in "+-" and i > 0 and body[i - 1] != "e")
+    return ctx.mpf(body[:k]), ctx.mpf(body[k:])
+
+
+@pytest.mark.parametrize("d, N, p", [(-1031, 7, 256), (-56, 12, 64)])
+def test_printed_digits_are_certified(d, N, p):
+    # every printed part is within 2^(1-p)|z| of the value at 2p bits
+    disc = validate_discriminant(d)
+    ctx = context(4 * p)
+    two = ctx.mpf(2)
+    real = 0
+    for rec, fine in zip(conjugates(disc, N, precision=p), conjugates(disc, N, precision=2 * p)):
+        z = ctx.mpc(fine.value)
+        text = format_complex(rec.value)
+        re, im = _printed_parts(text, ctx)
+        assert abs(re - z.real) <= abs(z) * two ** (1 - p), text
+        assert abs(im - z.imag) <= abs(z) * two ** (1 - p), text
+        if abs(z.imag) <= abs(z) * two ** (16 - 2 * p):  # real to the 2p-bit noise
+            assert text.endswith("+0.0i")
+            real += 1
+    assert real > 0
 
 
 def test_main_entry_point(capsys):
@@ -220,7 +245,8 @@ def test_removed_flags_are_rejected(capsys, flag, value):
 # exit code and the sha256 of stdout of a few requests, recorded from the
 # program itself.  A change that alters any output byte fails here; only a
 # change that announces an output change may re-record the file, with
-# ``PYTHONPATH=src python tests/test_cli.py``.
+# ``PYTHONPATH=src python tests/test_cli.py``, which prints the argv of
+# every pin whose record it changes.
 PINS_PATH = Path(__file__).with_name("output_pins.json")
 
 
@@ -230,10 +256,14 @@ def _pin(argv):
 
 
 def test_output_pins():
-    for pin in json.loads(PINS_PATH.read_text()):
-        assert _pin(pin["argv"]) == pin
+    moved = [pin["argv"] for pin in json.loads(PINS_PATH.read_text()) if _pin(pin["argv"]) != pin]
+    assert not moved, f"output changed for {moved}"
 
 
 if __name__ == "__main__":
-    argvs = [pin["argv"] for pin in json.loads(PINS_PATH.read_text())]
-    PINS_PATH.write_text(json.dumps([_pin(a) for a in argvs], indent=1) + "\n")
+    old = json.loads(PINS_PATH.read_text())
+    new = [_pin(pin["argv"]) for pin in old]
+    for before, after in zip(old, new):
+        if before != after:
+            print("re-recorded:", " ".join(after["argv"]))
+    PINS_PATH.write_text(json.dumps(new, indent=1) + "\n")
