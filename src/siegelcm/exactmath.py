@@ -23,6 +23,14 @@ from .errors import InputError
 DEFAULT_PRECISION = 256
 DEFAULT_GUARD = 64
 
+def is_integral(x) -> bool:
+    """True if x equals an integer; false for NaN, infinities and non-numbers."""
+    try:
+        return int(x) == x
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 # Fresh contexts are cloned from mpmath.mp and never mutated afterwards.
 @functools.lru_cache(maxsize=None)
 def context(bits: int) -> mpmath.ctx_mp.MPContext:
@@ -32,7 +40,7 @@ def context(bits: int) -> mpmath.ctx_mp.MPContext:
     Its mpf and mpc classes are the clone's own, which pickle cannot find
     by name, so they are pickled as (bits, raw tuple) instead.
     """
-    if int(bits) != bits or bits < 2:
+    if not is_integral(bits) or bits < 2:
         raise InputError(f"working precision must be an integer >= 2 bits, got {bits}")
     bits = int(bits)
     ctx = mpmath.mp.clone()
@@ -44,7 +52,7 @@ def context(bits: int) -> mpmath.ctx_mp.MPContext:
 
 def require_level(N: int) -> int:
     """N as an int if it is an integer >= 2, the level of a ray class field."""
-    if int(N) != N or N < 2:
+    if not is_integral(N) or N < 2:
         raise InputError(f"level must be an integer >= 2, got {N}")
     return int(N)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .errors import InputError
-from .exactmath import QuadIrrational
+from .exactmath import QuadIrrational, is_integral
 
 
 def _squarefree(n: int) -> bool:
@@ -54,7 +54,7 @@ class Discriminant:
 
 def validate_discriminant(d: int) -> Discriminant:
     """Check d is an integer < 0, 0 or 1 mod 4, and the squarefree conditions."""
-    if int(d) != d:
+    if not is_integral(d):
         raise InputError(f"discriminant must be an integer, got {d}")
     return Discriminant(int(d))
 

@@ -23,7 +23,14 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import EvaluationError, InputError
-from .exactmath import DEFAULT_GUARD, DEFAULT_PRECISION, bernoulli2, context, require_level
+from .exactmath import (
+    DEFAULT_GUARD,
+    DEFAULT_PRECISION,
+    bernoulli2,
+    context,
+    is_integral,
+    require_level,
+)
 
 # Reduced CM points have Im tau >= sqrt(3)/2, keeping M in the dozens even
 # at very high precision; the cap only trips on near-real direct calls.
@@ -88,15 +95,15 @@ def siegel_power(
     labelling conjugates by canonical vectors.
     """
     level = require_level(level)
-    if int(v) != v or int(w) != w or (v % level == 0 and w % level == 0):
+    if not (is_integral(v) and is_integral(w)) or (v % level == 0 and w % level == 0):
         raise InputError(f"(v, w) must be integers, not both 0 mod N, got ({v}, {w})")
     v, w = int(v) % level, int(w) % level
     if not tau.imag > 0:
         raise InputError("tau must lie in the upper half-plane")
-    if guard < 0:
-        raise InputError(f"guard must be >= 0 bits, got {guard}")
+    if not is_integral(guard) or guard < 0:
+        raise InputError(f"guard must be an integer >= 0 bits, got {guard}")
     out = context(precision)
-    work = precision + guard
+    work = precision + int(guard)
     ctx = context(work)
     tau_c = ctx.mpc(tau)
     terms = _truncation_index(ctx, tau_c.imag, work)

@@ -107,3 +107,6 @@ def test_context_rejects_tiny_precision():
         context(1)
     with pytest.raises(InputError, match="integer"):
         context(256.5)  # not truncated to 256
+    for bits in (float("nan"), float("inf"), "256"):
+        with pytest.raises(InputError, match="integer"):
+            context(bits)

@@ -43,6 +43,9 @@ def test_validate_rejections():
         validate_discriminant(-100)  # 4 * (-25)
     with pytest.raises(InputError):
         validate_discriminant(-20.9)  # not truncated to -20
+    for d in (float("nan"), float("-inf")):
+        with pytest.raises(InputError, match="must be an integer"):
+            validate_discriminant(d)
 
 
 def test_validation_agrees_with_oracle_below_200():

@@ -169,6 +169,15 @@ def test_params_validation():
         siegel_power(0, 1, TAU_I, 2, "-", precision=1)
     with pytest.raises(InputError):
         siegel_power(0, 1, TAU_I, 2, "-", guard=-1)
+    for guard in (0.5, float("nan"), float("inf")):
+        with pytest.raises(InputError, match="guard must be an integer"):
+            siegel_power(0, 1, TAU_I, 2, "-", guard=guard)
+    for level in (float("nan"), float("inf")):
+        with pytest.raises(InputError, match="level must be an integer"):
+            siegel_power(0, 1, TAU_I, level, "-")
+    for v in (float("nan"), float("inf")):
+        with pytest.raises(InputError, match="must be integers"):
+            siegel_power(v, 1, TAU_I, 6, "-")
     with pytest.raises(InputError):
         siegel_power(0, 1, TAU_I, 6.9, "-")  # not truncated to level 6
     with pytest.raises(InputError, match="integer >= 2 bits"):
