@@ -20,7 +20,8 @@ from siegelcm import (
     to_complex,
     validate_discriminant,
 )
-from siegelcm.siegel_eval import _raw_product, _truncation_index
+from siegelcm import siegel_eval
+from siegelcm.siegel_eval import _truncation_index
 
 from oracles import oracle_siegel_g
 
@@ -98,16 +99,65 @@ def test_double_precision_self_consistency(prec):
     assert agreement_bits(lo, hi) >= prec - 4
 
 
-def test_truncation_soundness():
+def test_truncation_soundness(monkeypatch):
     # doubling the term count beyond the chosen index moves the value by
-    # less than 2^-precision relative
-    precision, guard = 256, 64
-    ctx = context(precision + guard)
-    tau = ctx.mpc(SQRT5_I)
-    m = _truncation_index(ctx, tau.imag, precision + guard)
-    a = _raw_product(ctx, Fraction(0), Fraction(1, 6), tau, m)
-    b = _raw_product(ctx, Fraction(0), Fraction(1, 6), tau, 2 * m)
-    assert abs(a - b) / abs(b) < ctx.mpf(2) ** -precision
+    # less than 2^-precision relative; guard 0 at 320 bits keeps the same
+    # working precision and M as precision 256 with 64 guard bits, and
+    # shows the value at the working precision
+    precision = 256
+    ctx = context(320)
+    key = (ctx.mpc(SQRT5_I)._mpc_, 6, 320)
+    chosen = siegel_power(0, 1, SQRT5_I, 6, "-", precision=320, guard=0)
+    m = siegel_eval._form_tables(*key).terms
+    monkeypatch.setattr(siegel_eval, "_truncation_index", lambda *args: 2 * _truncation_index(*args))
+    siegel_eval._form_tables.cache_clear()
+    try:
+        doubled = siegel_power(0, 1, SQRT5_I, 6, "-", precision=320, guard=0)
+        assert siegel_eval._form_tables(*key).terms == 2 * m
+    finally:
+        siegel_eval._form_tables.cache_clear()
+    assert abs(chosen - doubled) / abs(doubled) < ctx.mpf(2) ** -precision
+
+
+@pytest.mark.parametrize(
+    "d, N, sign, p, pick, terms",
+    [
+        (-71, 30, "-", 256, max, 200),  # N = 30, v up to N - 1, the least Im tau
+        (-71, 30, "+", 256, max, 200),
+        (-1031, 7, "-", 256, min, 200),  # principal: Im tau ~ 16, values near 10^+-300
+        (-311, 12, "-", 1408, max, 400),
+    ],
+)
+def test_siegel_power_matches_oracle_on_a_whole_form(d, N, sign, p, pick, terms):
+    # every vector of one form, against the oracle's power at 2p bits
+    records = conjugates(validate_discriminant(d), N, precision=64)
+    form = pick(rec.index.form.as_tuple() for rec in records)
+    chosen = [rec for rec in records if rec.index.form.as_tuple() == form]
+    tau = to_complex(chosen[0].point, p + 64)
+    e = power_exponent(N, sign)
+    for rec in chosen:
+        v, w = rec.vector.as_tuple()
+        ours = siegel_power(v, w, tau, N, sign, precision=p)
+        with mpmath.workprec(2 * p):
+            g = oracle_siegel_g(Fraction(v, N), Fraction(w, N), context(2 * p).mpc(tau), terms, 2 * p)
+            ref = rounded(g**e, 2 * p)
+        assert agreement_bits(ours, ref) >= p, (form, v, w)
+
+
+def test_values_do_not_depend_on_the_table_cache():
+    # bit-identical on a cold cache, and with forms interleaved so that the
+    # cache evicts tables between calls
+    records = conjugates(validate_discriminant(-71), 30, precision=128)
+
+    def again(rec):
+        v, w = rec.vector.as_tuple()
+        return siegel_power(v, w, to_complex(rec.point, 192), 30, "-", precision=128)
+
+    for rec in records[::7]:
+        siegel_eval._form_tables.cache_clear()
+        assert again(rec) == rec.value
+    for rec in sorted(records, key=lambda rec: (rec.vector.as_tuple(), rec.point.q)):
+        assert again(rec) == rec.value
 
 
 def test_power_exponent():
