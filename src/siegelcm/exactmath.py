@@ -23,6 +23,7 @@ from .errors import InputError
 DEFAULT_PRECISION = 256
 DEFAULT_GUARD = 64
 
+
 def is_integral(x) -> bool:
     """True if x equals an integer; false for NaN, infinities and non-numbers."""
     try:

@@ -214,6 +214,7 @@ def siegel_power(
     tables = _form_tables(context(work).mpc(tau)._mpc_, level, work)
     N, W, one = level, tables.bits, 1 << tables.bits
 
+    # q_z = zeta^w r^v, s = q q_z + zeta^-w r^(N-v), P = (1 - q_z) prod (...)
     qz = _fmul(tables.zeta[w], tables.rpow[v], W)
     a, b = _fmul(tables.rpow[N], qz, W)
     c, d = _fmul(tables.zeta[-w], tables.rpow[N - v], W)
@@ -227,7 +228,7 @@ def siegel_power(
         fi = d - ((a * si + b * sr) >> W)
         pr, pi = (pr * fr - pi * fi) >> W, (pr * fi + pi * fr) >> W
 
-    # both quotients are exact for either exponent
+    # x = zeta^j r^k P^e; both quotients are exact for either exponent
     j = e * w * (v - N) // (2 * N)
     k = e * (6 * v * v - 6 * v * N + N * N) // (12 * N)
     num, den = (*tables.zeta[j % N], -W), (1, 0, 0)
