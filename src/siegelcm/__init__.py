@@ -10,7 +10,6 @@ from .errors import EvaluationError, InputError, SnapFailureError
 from .exactmath import (
     QuadIrrational,
     agreement_bits,
-    bernoulli2,
     context,
     rounded,
     to_complex,
@@ -53,7 +52,6 @@ __all__ = [
     "SnapFailureError",
     "act_vector",
     "agreement_bits",
-    "bernoulli2",
     "beta_local",
     "beta_modN",
     "check_criterion",

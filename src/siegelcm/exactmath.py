@@ -1,12 +1,10 @@
 """Exact arithmetic substrate and the precision-carrying complex values.
 
-Rationals are plain ``fractions.Fraction`` (always lowest terms, positive
-denominator, structural equality -- exactly the canonical form needed to
-dedup vectors mod Z^2).  Quadratic irrationals (p + sqrt(d))/q with d < 0
-are kept exact until a working precision is chosen.  Floating values are
-mpc numbers of the context ``context(bits)`` they were rounded in, so a
-value's precision is ``value.context.prec`` and they pickle: there is no
-global precision state anywhere in this package.
+Quadratic irrationals (p + sqrt(d))/q with d < 0 are kept exact until a
+working precision is chosen.  Floating values are mpc numbers of the
+context ``context(bits)`` they were rounded in, so a value's precision is
+``value.context.prec`` and they pickle: there is no global precision state
+anywhere in this package.
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ from __future__ import annotations
 import copyreg
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
 
@@ -70,12 +67,6 @@ def rounded(value, bits: int):
     context; ``ctx.fadd(z, 0)`` would round only the real part.
     """
     return context(bits).mpc(value)
-
-
-def bernoulli2(r: Fraction) -> Fraction:
-    """Second Bernoulli polynomial r^2 - r + 1/6, evaluated exactly."""
-    r = Fraction(r)
-    return r * r - r + Fraction(1, 6)
 
 
 @dataclass(frozen=True)

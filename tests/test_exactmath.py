@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import random
-from fractions import Fraction
-
 import mpmath
 import pytest
 
@@ -12,24 +9,10 @@ from siegelcm import (
     InputError,
     QuadIrrational,
     agreement_bits,
-    bernoulli2,
     context,
     rounded,
     to_complex,
 )
-
-
-def test_bernoulli2_values():
-    assert bernoulli2(Fraction(0)) == Fraction(1, 6)
-    assert bernoulli2(Fraction(1, 2)) == Fraction(-1, 12)
-    assert bernoulli2(Fraction(1, 6)) == Fraction(1, 36)
-
-
-def test_bernoulli2_symmetry_about_half():
-    rng = random.Random(7)
-    for _ in range(200):
-        r = Fraction(rng.randrange(-50, 50), rng.randrange(1, 50))
-        assert bernoulli2(r) == bernoulli2(1 - r)
 
 
 def test_quad_irrational_validation():

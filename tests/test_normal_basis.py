@@ -24,6 +24,7 @@ from siegelcm import (
     context,
     least_certifying_power,
     minimal_polynomial,
+    power_exponent,
     reduced_forms,
     rounded,
     siegel_power,
@@ -33,7 +34,9 @@ from siegelcm import (
     validate_discriminant,
     w_group,
 )
+from siegelcm import normal_basis
 
+from oracles import oracle_siegel_g
 from test_siegel_eval import FROZEN_X1
 
 D20 = validate_discriminant(-20)
@@ -98,6 +101,56 @@ def test_conjugates_single_index_case():
     # the lone value is exactly -1
     ctx = context(280)
     assert abs(ctx.mpc(recs[0].value) + 1) < ctx.mpf(2) ** -250
+
+
+def test_mirrored_records_match_the_oracle():
+    # the records on forms with b > 0 are the ones conjugates may take from
+    # a mirror; each is checked against the oracle's own q-product at its
+    # own vector and CM point, at 2p + 64 bits
+    p, N, work = 128, 8, 2 * 128 + 64
+    records = conjugates(validate_discriminant(-23), N, precision=p)
+    chosen = [rec for rec in records if rec.index.form.b > 0]
+    assert len(chosen) == 16
+    e = power_exponent(N, "-")
+    for rec in chosen:
+        v, w = rec.vector.as_tuple()
+        tau = context(work).mpc(to_complex(rec.point, work))
+        with mpmath.workprec(work):
+            g = oracle_siegel_g(Fraction(v, N), Fraction(w, N), tau, prec=work)
+            ref = rounded(g**e, work)
+        assert agreement_bits(rec.value, ref) >= p, (rec.index.form, v, w)
+
+
+@pytest.mark.parametrize("d, N, p", [(-95, 12, 512), (-71, 30, 256)])
+def test_mirrored_records_match_direct_evaluation(d, N, p):
+    records = conjugates(validate_discriminant(d), N, precision=p)
+    for rec in records:
+        if rec.index.form.b > 0:
+            v, w = rec.vector.as_tuple()
+            direct = siegel_power(v, w, to_complex(rec.point, 2 * p + 64), N, "-", precision=2 * p)
+            assert agreement_bits(rec.value, direct) >= p, (rec.index.form, v, w)
+
+
+@pytest.mark.parametrize(
+    "d, N, p, calls",
+    [
+        (-1031, 7, 128, 432),  # 408 of 840 records conjugated
+        (-95, 12, 512, 40),
+        (-23, 8, 128, 16),
+        (-20, 6, 256, 8),  # both forms mirror into themselves: all evaluated
+    ],
+)
+def test_conjugates_evaluates_one_form_of_each_mirror_pair(monkeypatch, d, N, p, calls):
+    count = 0
+
+    def counting(*args, **kwargs):
+        nonlocal count
+        count += 1
+        return siegel_power(*args, **kwargs)
+
+    monkeypatch.setattr(normal_basis, "siegel_power", counting)
+    conjugates(validate_discriminant(d), N, precision=p)
+    assert count == calls
 
 
 def test_check_criterion_level_six_run(records_20_6):
