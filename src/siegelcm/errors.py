@@ -11,9 +11,9 @@ mismatched moduli, and the other argument checks of ``siegel_power``,
 
 ``EvaluationError`` (CLI exit code 3) reports valid inputs whose computation
 cannot be completed: a truncation index above its cap (``siegel_power``), a
-zero or NaN conjugate (``check_criterion``), coefficients that do not snap
-(``minimal_polynomial``, ``SnapFailureError``) and a failed certificate
-(the CLI's ``minpoly``).
+zero, NaN or infinite conjugate (``check_criterion``, ``minimal_polynomial``),
+coefficients that do not snap (``minimal_polynomial``, ``SnapFailureError``)
+and a failed certificate (the CLI's ``minpoly``).
 """
 
 

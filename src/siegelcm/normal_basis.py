@@ -17,6 +17,7 @@ from itertools import groupby
 from operator import attrgetter
 
 import mpmath
+from mpmath.libmp import to_rational
 
 from .errors import EvaluationError, InputError, SnapFailureError
 from .exactmath import (
@@ -24,6 +25,7 @@ from .exactmath import (
     DEFAULT_PRECISION,
     QuadIrrational,
     context,
+    is_integral,
     to_complex,
 )
 from .quadforms import Discriminant, theta, theta_of_form
@@ -89,15 +91,6 @@ class IntPolynomial:
         return len(self.coefficients) - 1
 
 
-def _exact_fraction(x) -> Fraction:
-    """Exact value of a finite mpf (dyadic rational) as a Fraction."""
-    if not mpmath.isfinite(x):
-        raise InputError(f"expected a finite value, got {x}")
-    sign, man, exp, _ = x._mpf_
-    f = Fraction(int(man), 1) * Fraction(2) ** int(exp)
-    return -f if sign else f
-
-
 def conjugates(
     d: Discriminant, N: int, precision: int = DEFAULT_PRECISION
 ) -> list[ConjugateRecord]:
@@ -144,24 +137,36 @@ def conjugates(
     return records
 
 
+def _checked_precision(records: list[ConjugateRecord]) -> int:
+    """The records' highest precision, after the check both consumers share.
+
+    An empty list is a rejected argument (InputError); a zero, NaN or
+    infinite value at any index is a failed evaluation (EvaluationError).
+    """
+    if not records:
+        raise InputError("need at least one conjugate record")
+    # a NaN is truthy, but isfinite rejects it
+    if not all(r.value and mpmath.isfinite(r.value) for r in records):
+        raise EvaluationError("a conjugate is zero or NaN, or infinite")
+    return max(r.value.context.prec for r in records)
+
+
 def least_certifying_power(max_ratio, group_order: int) -> int:
     """Least m >= 1 with max_ratio^m <= 1/group_order.
 
-    ``max_ratio`` may be a float, Fraction, or mpf below 1; it is converted
+    ``max_ratio`` may be a float or Fraction below 1; it is converted
     to an exact rational, so boundary cases like 0.5^3 = 1/8 are decided
     without rounding.  Ratios so close to 1 that m exceeds 10^4 are decided
     by 128-bit logarithms instead (exact powers would be astronomically
     large there, and one-off minimality has no practical meaning).
     """
-    if group_order < 1:
-        raise InputError(f"group order must be positive, got {group_order}")
-    if hasattr(max_ratio, "_mpf_"):
-        ratio = _exact_fraction(max_ratio)
-    else:
-        try:
-            ratio = Fraction(max_ratio)
-        except (OverflowError, ValueError) as exc:
-            raise InputError(f"max_ratio must be finite, got {max_ratio}") from exc
+    if not is_integral(group_order) or group_order < 1:
+        raise InputError(f"group order must be a positive integer, got {group_order}")
+    group_order = int(group_order)
+    try:
+        ratio = Fraction(max_ratio)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise InputError(f"max_ratio must be a finite rational, got {max_ratio}") from exc
     if ratio >= 1:
         raise InputError(f"max_ratio must be < 1, got {max_ratio}")
     if ratio <= 0 or group_order == 1:
@@ -189,17 +194,11 @@ def check_criterion(records: list[ConjugateRecord]) -> CriterionReport:
     record (which must come first).  The maximum gets the 2^-64 safety
     margin before the < 1 test and before the exponent search.
     """
-    if not records:
-        raise InputError("need at least one conjugate record")
-    prec = max(r.value.context.prec for r in records)
-    ctx = context(prec + 16)
-    moduli = [abs(r.value) for r in records]
-    base = moduli[0]
-    # m > 0 is false for NaN too, so all ratios compare and max() is exact
-    if not (all(m > 0 for m in moduli) and ctx.isfinite(base)):
-        raise EvaluationError("a conjugate is zero or NaN, or the base is infinite")
-    ratios = [ctx.fdiv(m, base) for m in moduli[1:]]
-    raw_max = _exact_fraction(max(ratios)) if ratios else Fraction(0)
+    ctx = context(_checked_precision(records) + 16)
+    base = abs(records[0].value)
+    # finite over finite and non-zero: every ratio is finite, so max() is exact
+    ratios = [ctx.fdiv(abs(r.value), base) for r in records[1:]]
+    raw_max = Fraction(*to_rational(max(ratios)._mpf_)) if ratios else Fraction(0)
     margined = raw_max + RATIO_SAFETY_MARGIN
     passes = margined < 1
     m = least_certifying_power(margined, len(records)) if passes else None
@@ -222,10 +221,7 @@ def minimal_polynomial(records: list[ConjugateRecord]) -> IntPolynomial:
     coefficient sizes at hand or genuinely non-integral coefficients.
     Callers should pass records from a run whose certificate passed.
     """
-    if not records:
-        raise InputError("need at least one conjugate record")
-    prec = max(r.value.context.prec for r in records)
-    ctx = context(prec + 64)
+    ctx = context(_checked_precision(records) + 64)
     coeffs = [ctx.mpc(1)]
     for rec in records:
         root = ctx.mpc(rec.value)

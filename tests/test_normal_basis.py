@@ -181,10 +181,10 @@ def test_check_criterion_degenerate_value(records_20_6):
 
 
 def test_check_criterion_rejects_nan_and_infinite_base(records_20_6):
-    # a NaN ratio would be skipped by max(), so NaN values and an infinite
-    # base (inf / inf = NaN) must be rejected before the ratios are compared
+    # a NaN ratio would be skipped by max(), so NaN and infinite values
+    # (inf / inf = NaN) must be rejected before the ratios are compared
     nan, inf = rounded(mpmath.nan, 256), rounded(mpmath.inf, 256)
-    for k, value in ((5, nan), (0, nan), (0, inf)):
+    for k, value in ((5, nan), (0, nan), (0, inf), (5, inf)):
         recs = list(records_20_6)
         recs[k] = dataclasses.replace(recs[k], value=value)
         with pytest.raises(EvaluationError, match="zero or NaN"):
@@ -235,10 +235,9 @@ def test_least_certifying_power_exact_boundaries():
         least_certifying_power(1.0, 8)
     with pytest.raises(InputError):
         least_certifying_power(0.5, 0)
-
-
-def test_least_certifying_power_accepts_mpf():
-    assert least_certifying_power(mpmath.mpf(0.5), 8) == 3
+    for group_order in (2.5, float("nan"), float("inf")):
+        with pytest.raises(InputError):
+            least_certifying_power(0.5, group_order)
 
 
 @pytest.mark.parametrize("ratio", [mpmath.inf, mpmath.nan, float("inf"), float("nan")])
@@ -310,6 +309,14 @@ def test_minimal_polynomial_snap_failure_degree_one(records_20_6):
         minimal_polynomial(fake)
     with pytest.raises(InputError):
         minimal_polynomial([])
+
+
+def test_minimal_polynomial_rejects_nonfinite_values(records_20_6):
+    for value in (rounded(mpmath.nan, 256), rounded(mpmath.inf, 256)):
+        recs = list(records_20_6)
+        recs[3] = dataclasses.replace(recs[3], value=value)
+        with pytest.raises(EvaluationError, match="zero or NaN"):
+            minimal_polynomial(recs)
 
 
 def test_polynomial_degree_equals_group_order():
