@@ -6,13 +6,15 @@ discriminant that is not negative, 0 or 1 mod 4 and fundamental
 not an integer >= 2 (``exactmath.require_level``), a precision that is not
 an integer >= 2 (``exactmath.context``), a value outside the invariants of
 ``QuadIrrational``, ``QuadForm``, ``MatrixModN`` or ``FracVector`` or with
-mismatched moduli, and the other argument checks of ``siegel_power``,
-``normal_basis`` and the CLI's ``RunConfig``.
+mismatched moduli, records that are not closed under complex conjugation
+(``minimal_polynomial``), and the other argument checks of
+``siegel_power``, ``normal_basis`` and the CLI's ``RunConfig``.
 
 ``EvaluationError`` (CLI exit code 3) reports valid inputs whose computation
 cannot be completed: a truncation index above its cap (``siegel_power``), a
 zero, NaN or infinite conjugate (``check_criterion``, ``minimal_polynomial``),
-coefficients that do not snap (``minimal_polynomial``, ``SnapFailureError``)
+a conjugate pair that disagrees beyond its error bound and coefficients
+that do not snap (``minimal_polynomial``, the latter a ``SnapFailureError``)
 and a failed certificate (the CLI's ``minpoly``).
 """
 

@@ -6,7 +6,8 @@ same kind of power at the CM point of Q, with the vector (0, 1) pushed
 through alpha * beta_Q.  The certificate checks |x^gamma / x| < 1 for all
 non-identity conjugates and reports the least exponent m whose m-th powers
 clear the 1/#G threshold; the product over all conjugates of (X - x^gamma)
-is then expanded and snapped to an integer polynomial.
+is then expanded over complex-conjugate pairs in real fixed point and
+snapped to an integer polynomial.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from itertools import groupby
 from operator import attrgetter
 
 import mpmath
-from mpmath.libmp import to_rational
+from mpmath.libmp import to_fixed, to_rational
 
 from .errors import EvaluationError, InputError, SnapFailureError
 from .exactmath import (
@@ -28,7 +29,7 @@ from .exactmath import (
     is_integral,
     to_complex,
 )
-from .quadforms import Discriminant, theta, theta_of_form
+from .quadforms import Discriminant, QuadForm, theta, theta_of_form
 from .reciprocity import (
     ConjugateIndex,
     FracVector,
@@ -42,8 +43,7 @@ from .siegel_eval import siegel_power
 # so the certificate cannot pass (or m come out small) on rounding noise.
 RATIO_SAFETY_MARGIN = Fraction(1, 2**64)
 
-# Largest distance of a coefficient from an integer (and of its imaginary
-# part from zero) that the snap accepts.
+# Largest distance of a coefficient from an integer that the snap accepts.
 SNAP_TOLERANCE = 1e-10
 
 
@@ -80,7 +80,10 @@ class CriterionReport:
 
 @dataclass(frozen=True)
 class IntPolynomial:
-    """A snapped monic integer polynomial, coefficients degree-descending."""
+    """A snapped monic integer polynomial, coefficients degree-descending.
+
+    The expansion is real, so ``max_imag_residual`` is always 0.0.
+    """
 
     coefficients: tuple[int, ...]
     max_rounding_residual: float
@@ -89,6 +92,27 @@ class IntPolynomial:
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
+
+
+def _partner(Q: QuadForm, vector: FracVector) -> tuple[tuple[int, int, int], FracVector]:
+    """The (form, vector) key of the record whose value is conj(x) at (Q, vector).
+
+    The partner form has the CM point -conj(tau) of Q, and
+    g_(r1,r2)(-conj(tau)) = conj(g_(r1,-r2)(tau)).  When Q is its own
+    partner, -conj(tau) is tau (b = 0), T tau = tau + 1 (b = a) or
+    S tau = -1/tau (a = c), and the vector moves by that matrix; the root
+    of unity that g picks up under T or S vanishes in the power, whose
+    exponent is a multiple of 12.
+    """
+    a, b, c = Q.as_tuple()
+    v, w, N = vector.v, vector.w, vector.modulus
+    if b == 0:
+        return (a, 0, c), FracVector.make(v, -w, N)
+    if b == a:
+        return (a, a, c), FracVector.make(v, v - w, N)
+    if a == c:
+        return (a, b, a), FracVector.make(w, v, N)
+    return (a, -b, c), FracVector.make(v, -w, N)
 
 
 def conjugates(
@@ -104,15 +128,13 @@ def conjugates(
     once per form.  The principal form has beta = 1, so the first record
     is the base value itself with vector (0, 1).
 
-    Complex conjugation saves about half the evaluations.  The form
-    (a, -b, c) has the CM point -conj(tau) of (a, b, c), and
-    g_(r1,r2)(-conj(tau)) = conj(g_(r1,-r2)(tau)); the exponent is real.
-    So each value evaluated on a form with b < 0 is kept under its
-    mirror, form (a, -b, c) with vector (v, -w), and the mirror's record
-    takes its exact conjugate.  Forms are sorted by (a, b, c), so the
-    form with b < 0 comes first.  Every other record is evaluated, among
-    them all records of the forms that mirror into themselves (b = 0,
-    b = a or a = c).
+    Complex conjugation saves about half the evaluations.  ``_partner``
+    maps each record to the one whose value is its complex conjugate.  A
+    form with b < 0 has its partner records on the form (a, -b, c), which
+    sorts after it, so each value evaluated there is kept under its
+    partner's key, and the partner's record takes its exact conjugate.
+    Every other record is evaluated, among them all records of the forms
+    that are their own partner (b = 0, b = a or a = c).
     """
     base = FracVector.make(0, 1, N)
     records = []
@@ -121,7 +143,7 @@ def conjugates(
         beta = beta_modN(Q, N)
         point = theta_of_form(Q)
         tau = to_complex(point, precision + DEFAULT_GUARD)
-        form, mirror = Q.as_tuple(), (Q.a, -Q.b, Q.c)
+        form = Q.as_tuple()
         for idx in indices:
             vector = act_vector(base, idx.alpha * beta)
             known = mirrored.get((form, vector))
@@ -132,7 +154,7 @@ def conjugates(
                     vector.v, vector.w, tau, N, "-", precision=precision, guard=DEFAULT_GUARD
                 )
                 if Q.b < 0:
-                    mirrored[mirror, FracVector.make(vector.v, -vector.w, N)] = value
+                    mirrored[_partner(Q, vector)] = value
             records.append(ConjugateRecord(index=idx, vector=vector, point=point, value=value))
     return records
 
@@ -214,42 +236,72 @@ def check_criterion(records: list[ConjugateRecord]) -> CriterionReport:
 def minimal_polynomial(records: list[ConjugateRecord]) -> IntPolynomial:
     """Expand prod (X - value) over the records and snap to integers.
 
-    Expansion runs 64 bits above the records' precision.  Every
-    coefficient's |imag| and distance to the nearest integer are recorded;
-    if either maximum exceeds SNAP_TOLERANCE (1e-10) the snap is refused,
-    since that indicates either insufficient working precision for the
-    coefficient sizes at hand or genuinely non-integral coefficients.
-    Callers should pass records from a run whose certificate passed.
+    The product is real, so it runs over conjugate pairs: ``_partner``
+    names each record's partner exactly, a pair contributes
+    X^2 - 2 Re(z) X + |z|^2 and a record that is its own partner (a real
+    value) contributes X - Re(z).  A record whose partner is missing, or
+    two records with the same form and vector, are an InputError.  Each partner must lie within 2^(2-p) |z| of conj(z), and
+    a real value's |Im z| within half of that, p being the lowest record
+    precision: both values carry a relative error below 2^-p, so a larger
+    gap is an EvaluationError.
+
+    Coefficients are Python integers scaled by 2^F, F = p' + 64 with p'
+    the records' precision.  Every integer step truncates by less than one
+    unit 2^-F: each Re z and Im z once, each |z|^2 once, and each
+    coefficient once per factor multiplied in.  Each coefficient's
+    distance to the nearest integer is recorded; if the maximum exceeds
+    SNAP_TOLERANCE (1e-10) the snap is refused, since that indicates
+    either insufficient working precision for the coefficient sizes at
+    hand or genuinely non-integral coefficients.  ``max_imag_residual``
+    is always 0.0.  Callers should pass records from a run whose
+    certificate passed.
     """
-    ctx = context(_checked_precision(records) + 64)
-    coeffs = [ctx.mpc(1)]
-    for rec in records:
-        root = ctx.mpc(rec.value)
-        nxt = coeffs + [ctx.mpc(0)]
-        for k in range(len(coeffs)):
-            nxt[k + 1] -= root * coeffs[k]
-        coeffs = nxt
-    snapped = []
-    max_round = ctx.mpf(0)
-    max_imag = ctx.mpf(0)
-    for c in coeffs:
-        nearest = ctx.nint(c.real)
-        max_round = max(max_round, abs(c.real - nearest))
-        max_imag = max(max_imag, abs(c.imag))
-        snapped.append(int(nearest))
-    if max_round > SNAP_TOLERANCE or max_imag > SNAP_TOLERANCE:
+    F = _checked_precision(records) + 64
+    bound = mpmath.ldexp(1, 2 - min(r.value.context.prec for r in records))
+    by_key = {(r.index.form.as_tuple(), r.vector): r for r in records}
+    if len(by_key) < len(records):
+        raise InputError("records repeat a (form, vector) pair")
+    done = set()
+    coeffs = [1 << F]
+    for key, rec in by_key.items():
+        if key in done:
+            continue
+        z = rec.value
+        partner_key = _partner(rec.index.form, rec.vector)
+        partner = by_key.get(partner_key)
+        if partner is None:
+            raise InputError("records are not closed under complex conjugation")
+        if abs(partner.value - z.conjugate()) > abs(z) * bound:
+            raise EvaluationError(
+                f"conjugate pair at form {key[0]}, vector {key[1].as_tuple()} "
+                f"disagrees beyond its error bound"
+            )
+        done.add(partner_key)
+        re = to_fixed(z.real._mpf_, F)
+        if partner_key == key:
+            coeffs = [c - (re * p >> F) for c, p in zip(coeffs + [0], [0] + coeffs)]
+        else:
+            im = to_fixed(z.imag._mpf_, F)
+            b, c2 = -2 * re, (re * re + im * im) >> F
+            coeffs = [
+                c + ((b * p1 + c2 * p2) >> F)
+                for c, p1, p2 in zip(coeffs + [0, 0], [0] + coeffs + [0], [0, 0] + coeffs)
+            ]
+    half = 1 << (F - 1)
+    snapped = [(c + half) >> F for c in coeffs]
+    max_round = Fraction(max(abs(c - (n << F)) for c, n in zip(coeffs, snapped)), 1 << F)
+    if max_round > SNAP_TOLERANCE:
         raise SnapFailureError(
             f"coefficients are not within {SNAP_TOLERANCE} of integers "
-            f"(rounding residual {ctx.nstr(max_round, 6)}, imaginary residual "
-            f"{ctx.nstr(max_imag, 6)}); raise the working precision if the "
-            f"residuals look like rounding noise",
+            f"(rounding residual {float(max_round):.6g}); raise the "
+            f"working precision if the residual looks like rounding noise",
             max_rounding_residual=float(max_round),
-            max_imag_residual=float(max_imag),
+            max_imag_residual=0.0,
         )
     return IntPolynomial(
         coefficients=tuple(snapped),
         max_rounding_residual=float(max_round),
-        max_imag_residual=float(max_imag),
+        max_imag_residual=0.0,
     )
 
 

@@ -264,7 +264,64 @@ def test_minimal_polynomial_level_six_run(records_20_6):
     assert poly.coefficients == VERIFIED_POLY_20_6
     assert poly.degree == 8
     assert poly.max_rounding_residual < 1e-10
-    assert poly.max_imag_residual < 1e-10
+    assert poly.max_imag_residual == 0.0
+
+
+def _key(rec):
+    return rec.index.form.as_tuple(), rec.vector
+
+
+# (-20, 6) has forms with b = 0 and b = a, (-23, 8) adds two forms
+# (a, -b, c), (a, b, c), and (-15, 7) has one with a = c
+@pytest.mark.parametrize("d, N", [(-20, 6), (-23, 8), (-15, 7)])
+def test_partner_map_closes_every_record_set(d, N):
+    p = 128
+    records = conjugates(validate_discriminant(d), N, precision=p)
+    by_key = {_key(rec): rec for rec in records}
+    assert len(by_key) == len(records)
+    for rec in records:
+        partner = by_key[normal_basis._partner(rec.index.form, rec.vector)]
+        assert normal_basis._partner(partner.index.form, partner.vector) == _key(rec)
+        bits = agreement_bits(partner.value, rec.value.conjugate())
+        assert bits >= p - 1, (_key(rec), bits)
+
+
+@pytest.mark.parametrize("d, N", [(-95, 12), (-23, 8)])
+def test_minimal_polynomial_matches_complex_expansion(d, N):
+    # prod (X - z) over every record, one root at a time in complex
+    # arithmetic at twice the records' precision, rounded part by part
+    p = 512
+    records = conjugates(validate_discriminant(d), N, precision=p)
+    ctx = context(2 * p)
+    coeffs = [ctx.mpc(1)]
+    for rec in records:
+        z = ctx.mpc(rec.value)
+        coeffs = [c - z * q for c, q in zip(coeffs + [0], [0] + coeffs)]
+    assert all(abs(c.imag) < 1e-10 for c in coeffs)
+    expected = tuple(int(ctx.nint(c.real)) for c in coeffs)
+    assert minimal_polynomial(records).coefficients == expected
+
+
+def test_minimal_polynomial_needs_every_partner(records_20_6):
+    records = list(records_20_6)
+    dropped = records.pop(5)
+    assert normal_basis._partner(dropped.index.form, dropped.vector) != _key(dropped)
+    with pytest.raises(InputError, match="not closed under complex conjugation"):
+        minimal_polynomial(records)
+    with pytest.raises(InputError, match="repeat"):
+        minimal_polynomial(records + [dropped, dropped])
+
+
+@pytest.mark.parametrize("k", [0, 5])  # a real value, and one of a pair
+def test_minimal_polynomial_rejects_a_partner_off_its_bound(records_20_6, k):
+    p = 256
+    records = list(records_20_6)
+    z = records[k].value
+    ctx = context(p)
+    shift = abs(z) * ctx.ldexp(1, 8 - p) * ctx.mpc(0, 1)
+    records[k] = dataclasses.replace(records[k], value=rounded(z + shift, p))
+    with pytest.raises(EvaluationError, match="error bound"):
+        minimal_polynomial(records)
 
 
 def test_minimal_polynomial_precision_independent():
