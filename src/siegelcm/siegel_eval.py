@@ -1,46 +1,69 @@
-"""Error-bounded evaluation of Siegel functions by the truncated q-product.
+"""Error-bounded evaluation of Siegel functions by the Jacobi triple product.
 
 For (r1, r2) in [0,1)^2, not both zero, and tau in the upper half-plane:
 
-    g(tau) = -q^{B2(r1)/2} e^{pi i r2 (r1-1)} (1 - q_z)
-             prod_{n>=1} (1 - q^n q_z)(1 - q^n / q_z),
+    g(tau) = -q^{B2(r1)/2} e^{pi i r2 (r1-1)} P,
+    P = (1 - q_z) prod_{n>=1} (1 - q^n q_z)(1 - q^n / q_z),
 
 with q = e^{2 pi i tau}, q_z = e^{2 pi i z}, z = r1 tau + r2, and
-B2(X) = X^2 - X + 1/6.  The product is truncated at
+B2(X) = X^2 - X + 1/6.  Jacobi's triple product turns P into a theta series
+over an eta product that depends on tau alone:
 
-    M = ceil((precision + guard) ln 2 / (2 pi Im tau)) + 2.
+    P = S / eta,  S = sum_{n in Z} (-1)^n q^{n(n-1)/2} q_z^n,
+    eta = prod_{m>=1} (1 - q^m) = sum_{k in Z} (-1)^k q^{k(3k-1)/2}.
 
 The kernel.  With (r1, r2) = (v/N, w/N), r = q^{1/N} and zeta = e^{2 pi i/N},
-q_z = zeta^w r^v, and the two factors of each term pair into one with only
-non-negative powers:
+q_z = zeta^w r^v, so the n-th term of S is (-1)^n zeta^{wn} r^E with the
+integer E = N n(n-1)/2 + v n >= 0, and r^E = q^{E div N} r^{E mod N}.  S keeps
+the terms with E <= N M, about 2 sqrt(2M) of them.  Terms with the same
+(wn mod N, E mod N) are added as table entries q^{E div N} first, so each
+group costs at most two multiplications, by zeta^{wn} and by r^{E mod N};
+E = vn mod N, so there are at most N groups.  Everything runs in Gaussian
+integers scaled by 2^W, from tables of q^n (n <= M), r^j (j <= N), zeta^j and
+1/eta (Euler's pentagonal series, then one division) that one exp and one
+expjpi per CM point build and ``_form_tables`` memoizes.  Both exponents e
+(-12N/gcd(6, N), and +12N) are even, so the lead factor needs no
+exponential: x = g^e = zeta^j r^k P^e with the integers j = e w (v-N) / (2N)
+and k = e (6v^2 - 6vN + N^2) / (12N).  r^k and P^e are binary powers of
+Gaussian integers with W-bit mantissas and a binary exponent, and x is
+rounded once, to the stated precision.
 
-    (1 - q^n q_z)(1 - q^n / q_z) = 1 - q^{n-1} s + q^{2n},
-    s = q q_z + zeta^{-w} r^{N-v}.
+Error budget, relative to x, with work = precision + guard bits.  Write
+x_q = |q|, y = x_q^{1/2}, rho = |r| and a = v/N.
 
-The product P = (1 - q_z) prod_{n<=M} (...) runs in Gaussian integers
-scaled by 2^W, from tables of q^n (n <= 2M), r^j (j <= N) and zeta^j that
-one exp and one expjpi per CM point build and ``_form_tables`` memoizes.
-Both exponents e (-12N/gcd(6, N), and +12N) are even, so the lead factor
-needs no exponential: x = g^e = zeta^j r^k P^e with the integers
-j = e w (v-N) / (2N) and k = e (6v^2 - 6vN + N^2) / (12N).  r^k and P^e
-are binary powers of Gaussian integers with W-bit mantissas and a binary
-exponent, and x is rounded once, to the stated precision.
-
-Error budget, relative to x, with work = precision + guard bits:
-
-- Truncation.  |q|^M <= 2^-work |q|^2, so the log-product tail is below
-  2 |q|^M / (1 - |q|)^2 <= 2^{1-work} |q|^2 / (1 - |q|)^2; at a reduced
-  CM point (|q| <= e^{-pi sqrt 3}) that is below 2^{-work-14}.
-- Fixed point.  Write y = |q|^{1/2} and rho = |r|.  Every partial product
-  of P lies between lambda = min(4/N, 1 - rho) prod_m (1 - y^m) and
-  Lambda = 2 exp(2y / (1 - y)), and prod_m (1 - y^m) >= exp(-pi^2 y /
-  (6 (1 - y))).  Table entries are powers of numbers of modulus <= 1, so
-  q^n is off by at most about 1/(1 - y) units of 2^-W, r^j by 1/(1 - rho)
-  and zeta^j by j, and each of the M + 1 factors by a few times
-  N + 1/(1 - rho) + 1/(1 - y) units.  Taking
-  W = work + 8 + log2((M + 1)(N + 1/(1 - rho) + 1/(1 - y)) Lambda^2 / lambda)
-  (``_scale_bits``) keeps P within 2^{-work-2} of the truncated product;
-  at the reduced CM points of the benchmark W - work is 17 to 24 bits.
+- Bounds.  E0 = prod_m (1 - x_q^m) >= exp(-pi^2 x_q / (6 (1 - x_q))) and
+  E0 <= |eta| <= 1/E0.  |P| >= lambda = min(4/N, (1 - rho)(1 - y)) E0^2.
+  For v = 0, |1 - zeta^w| >= 2 sin(pi/N) >= 4/N.  For v > 0, the factors
+  1 - q_z and 1 - q/q_z lose x_q^a and x_q^{1-a}; the smaller exponent is
+  >= 1/N and the larger >= 1/2.  The other factors lose x_q^{n+a} and
+  x_q^{n+1-a} for n >= 1, both at most x_q^n.  So |S| = |P| |eta| >=
+  lambda E0: the sum may cancel down to that.  The moduli of all terms of
+  S add up to at most Lambda = 3 + 2 x_q/(1 - x_q).
+- Truncation.  Each omitted term of S is below x_q^M, and past the first
+  one the terms on each side of n shrink at least x_q-fold (E grows by
+  N n + v after n, or by N(m+1) - v after n = -m), so each side's tail is
+  below x_q^M / (1 - x_q); the same holds for the pentagonal exponents > M
+  of eta.  Once x_q^M <= 2^{-work-6} (1 - x_q) lambda E0, S and eta are off
+  by less than 2^{-work-5} of |S| and of |eta|, and P by less than
+  2^{-work-3}.  M = ceil((work + t) ln 2 / (2 pi Im tau)) + 2 gives
+  x_q^M <= 2^{-work-t} x_q^2, and ``_tail_bits`` takes the least t >= 0
+  with 2^{-t} x_q^2 <= 2^{-6} (1 - x_q) lambda E0; t = 0 at the reduced CM
+  points of every level below 3000.
+- Fixed point.  r and zeta come from exp and expjpi at >= W bits and are
+  cut to W bits, so each is off by < 3 units of 2^-W; each step of a
+  ladder adds < 1.5 units (its cut), shrunk by the modulus of every later
+  step.  So r^j (j <= N) is off by at most T_r = 3N + 2/(1 - rho) units,
+  q^n = (r^N)^n by T_r/(1 - x_q)^2 + 2/(1 - x_q), and zeta^j by 5N; T, the
+  sum of the three, bounds every table entry.  A group's sum of entries
+  q^{E div N}, times zeta^j and then r^b, is off by 2 |group| T plus its
+  entries' errors plus 4, so S, of K <= 2 sqrt(2M) + 3 terms, is off by
+  2 Lambda T + K T + 4K <= (K + Lambda)(2T + 4).  eta, of fewer terms, is
+  off by K T, 1/eta by (K T + 2) / E0^2, and P = S (1/eta), relative to
+  |P| = |S| / |eta|, by U / (lambda E0^3) units, U = (2K + Lambda + 1)
+  (2T + 4).  ``_scale_bits`` takes W = work + 8 + log2(U / (lambda E0^3)),
+  which keeps that below 2^{-work-7}, second-order terms included; W - work
+  is 19 to 28 bits at the reduced CM points of the benchmark.  With the
+  truncation, P is within 2^{-work-2} of the true value.
 - Powers.  r comes from exp at >= W bits, and every step of a binary power
   cuts its mantissas to W bits, so r^k and P^e amplify the errors above
   |k|-fold and |e|-fold.  With |e| <= 12N and |k| <= N^2 the total before
@@ -63,8 +86,8 @@ from mpmath.libmp import to_fixed
 from .errors import EvaluationError, InputError
 from .exactmath import DEFAULT_GUARD, DEFAULT_PRECISION, context, is_integral, require_level
 
-# Reduced CM points have Im tau >= sqrt(3)/2, keeping M in the dozens even
-# at very high precision; the cap only trips on near-real direct calls.
+# Reduced CM points have Im tau >= sqrt(3)/2, where M is about bits / 8; the
+# cap only trips on near-real direct calls.
 MAX_TERMS = 10**6
 
 
@@ -73,20 +96,31 @@ def _truncation_index(ctx, imag, bits: int) -> int:
     if m > MAX_TERMS:
         raise EvaluationError(
             f"truncation index {m} exceeds the cap of {MAX_TERMS} terms "
-            f"(Im tau = {ctx.nstr(imag, 8)} is too small for {bits} working bits)"
+            f"(Im tau = {ctx.nstr(imag, 8)} is too small for a tail below 2^-{bits})"
         )
     return int(m)
 
 
+def _bounds(imag: float, level: int) -> tuple[float, float, float, float]:
+    """log2 |q|, 1 - |q|, log2 E0 and log2 lambda: see the module docstring."""
+    gap = -math.expm1(-2 * math.pi * imag)
+    log_e0 = -math.pi**2 / 6 * math.exp(-2 * math.pi * imag) / gap * math.log2(math.e)
+    floor = min(4 / level, -math.expm1(-2 * math.pi * imag / level) * -math.expm1(-math.pi * imag))
+    return -2 * math.pi * imag * math.log2(math.e), gap, log_e0, math.log2(floor) + 2 * log_e0
+
+
+def _tail_bits(imag: float, level: int) -> int:
+    """t, the bits that M covers beyond work: see the module docstring."""
+    log_x, gap, log_e0, log_lam = _bounds(imag, level)
+    return max(0, math.ceil(6 + 2 * log_x - math.log2(gap) - log_lam - log_e0))
+
+
 def _scale_bits(imag: float, level: int, terms: int, work: int) -> int:
-    """W, the fixed-point scale of the product: see the module docstring."""
-    y = math.exp(-math.pi * imag)
-    gap = -math.expm1(-2 * math.pi * imag / level)  # 1 - |r|
-    ratio = y / (1 - y) * math.log2(math.e)
-    log_big = 1 + 2 * ratio
-    log_small = math.log2(min(4 / level, gap)) - math.pi**2 / 6 * ratio
-    units = (terms + 1) * (level + 1 / gap + 1 / (1 - y))
-    return work + 8 + math.ceil(math.log2(units) + 2 * log_big - log_small)
+    """W, the fixed-point scale of the series: see the module docstring."""
+    _, gap, log_e0, log_lam = _bounds(imag, level)
+    table = (3 * level - 2 / math.expm1(-2 * math.pi * imag / level)) / gap**2 + 2 / gap + 5 * level
+    units = (4 * (math.isqrt(2 * terms) + 3) + 2 + 2 / gap) * (2 * table + 4)
+    return work + 8 + math.ceil(math.log2(units) - log_lam - 3 * log_e0)
 
 
 def _fixed(z, bits: int) -> tuple[int, int]:
@@ -145,9 +179,10 @@ class _Tables(NamedTuple):
 
     terms: int  # M
     bits: int  # W
-    qpow: tuple  # q^n for n <= 2M
+    qpow: tuple  # q^n for n <= M
     rpow: tuple  # r^j = q^(j/N) for j <= N
     zeta: tuple  # zeta^j for j < N
+    eta: tuple  # 1/prod_{m>=1} (1 - q^m)
     r: tuple  # r as a Gaussian float with W-bit mantissas, the base of r^k
 
 
@@ -158,19 +193,31 @@ def _form_tables(tau, level: int, work: int) -> _Tables:
     """The tables of the point whose raw ``_mpc_`` tuple at work bits is tau."""
     ctx = context(work)
     tau = ctx.make_mpc(tau)
-    terms = _truncation_index(ctx, tau.imag, work)
-    bits = _scale_bits(float(tau.imag), level, terms, work)
+    # below 1e-7 the cap on M trips whatever t is, so the float bounds need not go lower
+    imag = max(float(tau.imag), 1e-7)
+    terms = _truncation_index(ctx, tau.imag, work + _tail_bits(imag, level))
+    bits = _scale_bits(imag, level, terms, work)
     # at least W bits, rounded up so that few contexts are ever made
     wide = context(-(-bits // 64) * 64)
     r = wide.exp(2j * wide.pi * wide.mpc(tau) / level)
     rpow = _ladder(_fixed(r, bits), level, bits)
+    qpow = _ladder(rpow[level], terms, bits)
+    # prod (1 - q^m) by Euler's pentagonal series, over the exponents <= M
+    re = im = 0
+    for k in range(-math.isqrt(terms), math.isqrt(terms) + 1):
+        n = k * (3 * k - 1) // 2
+        if n <= terms:
+            a, b = qpow[n]
+            re, im = (re - a, im - b) if k & 1 else (re + a, im + b)
+    norm = re * re + im * im
     shift = bits - wide.mag(r)  # W-bit mantissas whatever the size of r
     return _Tables(
         terms=terms,
         bits=bits,
-        qpow=_ladder(rpow[level], 2 * terms, bits),
+        qpow=qpow,
         rpow=rpow,
         zeta=_ladder(_fixed(wide.expjpi(wide.mpf(2) / level), bits), level - 1, bits),
+        eta=((re << 2 * bits) // norm, (-im << 2 * bits) // norm),
         r=(*_fixed(r, shift), -shift),
     )
 
@@ -212,21 +259,28 @@ def siegel_power(
     out = context(precision)
     work = precision + int(guard)
     tables = _form_tables(context(work).mpc(tau)._mpc_, level, work)
-    N, W, one = level, tables.bits, 1 << tables.bits
+    N, W = level, tables.bits
 
-    # q_z = zeta^w r^v, s = q q_z + zeta^-w r^(N-v), P = (1 - q_z) prod (...)
-    qz = _fmul(tables.zeta[w], tables.rpow[v], W)
-    a, b = _fmul(tables.rpow[N], qz, W)
-    c, d = _fmul(tables.zeta[-w], tables.rpow[N - v], W)
-    sr, si = a + c, b + d
-    pr, pi = one - qz[0], -qz[1]
-    qpow = tables.qpow
-    for n in range(1, tables.terms + 1):
-        a, b = qpow[n - 1]
-        c, d = qpow[2 * n]
-        fr = one + c - ((a * sr - b * si) >> W)
-        fi = d - ((a * si + b * sr) >> W)
-        pr, pi = (pr * fr - pi * fi) >> W, (pr * fi + pi * fr) >> W
+    # S = sum_n (-1)^n zeta^(wn) r^E, E = N n(n-1)/2 + v n, over E <= N M, from
+    # n = 0 up and n = -1 down.  r^E = q^(E div N) r^(E mod N), and the terms
+    # with one (wn mod N, E mod N) are summed before their two factors
+    qpow, rpow, limit = tables.qpow, tables.rpow, N * tables.terms
+    groups = {}
+    for n, ex, step, dn in ((0, 0, v, 1), (-1, N - v, 2 * N - v, -1)):
+        while ex <= limit:
+            key = w * n % N, ex % N
+            a, b = qpow[ex // N]
+            sr, si = groups.get(key, (0, 0))
+            groups[key] = (sr - a, si - b) if n & 1 else (sr + a, si + b)
+            n, ex, step = n + dn, ex + step, step + N
+    sr = si = 0
+    for (j, b), group in groups.items():
+        if j:
+            group = _fmul(tables.zeta[j], group, W)
+        if b:
+            group = _fmul(rpow[b], group, W)
+        sr, si = sr + group[0], si + group[1]
+    pr, pi = _fmul((sr, si), tables.eta, W)
 
     # x = zeta^j r^k P^e; both quotients are exact for either exponent
     j = e * w * (v - N) // (2 * N)

@@ -1,7 +1,8 @@
-"""Tests for the q-product evaluator, against independent routes."""
+"""Tests for the Siegel-function evaluator, against independent routes."""
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import mpmath
@@ -100,23 +101,31 @@ def test_double_precision_self_consistency(prec):
 
 
 def test_truncation_soundness(monkeypatch):
-    # doubling the term count beyond the chosen index moves the value by
-    # less than 2^-precision relative; guard 0 at 320 bits keeps the same
-    # working precision and M as precision 256 with 64 guard bits, and
-    # shows the value at the working precision
-    precision = 256
+    # doubling M doubles the q^n table and moves the value by less than the
+    # error bound; with guard 0 the docstring bounds each value's error by
+    # (|e| + |k| + 1) 2^-(work+1) <= 20 * 2^-321 at N = 6, so each value is
+    # within 2^-316 of the oracle's at 640 bits and of the doubled one's,
+    # far closer than the last series term kept on either side of n or an
+    # error 64 bits above 2^-W would leave it
     ctx = context(320)
     key = (ctx.mpc(SQRT5_I)._mpc_, 6, 320)
-    chosen = siegel_power(0, 1, SQRT5_I, 6, "-", precision=320, guard=0)
+    vectors = [(0, 1), (1, 2)]
+    chosen = [siegel_power(v, w, SQRT5_I, 6, "-", precision=320, guard=0) for v, w in vectors]
+    with mpmath.workprec(640):
+        for (v, w), value in zip(vectors, chosen):
+            ref = oracle_siegel_g(Fraction(v, 6), Fraction(w, 6), context(640).mpc(SQRT5_I), 100, 640) ** -12
+            assert abs(value - ref) / abs(ref) < mpmath.mpf(2) ** -316
     m = siegel_eval._form_tables(*key).terms
+    assert len(siegel_eval._form_tables(*key).qpow) == m + 1
     monkeypatch.setattr(siegel_eval, "_truncation_index", lambda *args: 2 * _truncation_index(*args))
     siegel_eval._form_tables.cache_clear()
     try:
-        doubled = siegel_power(0, 1, SQRT5_I, 6, "-", precision=320, guard=0)
-        assert siegel_eval._form_tables(*key).terms == 2 * m
+        doubled = [siegel_power(v, w, SQRT5_I, 6, "-", precision=320, guard=0) for v, w in vectors]
+        assert len(siegel_eval._form_tables(*key).qpow) == 2 * m + 1
     finally:
         siegel_eval._form_tables.cache_clear()
-    assert abs(chosen - doubled) / abs(doubled) < ctx.mpf(2) ** -precision
+    for value, again in zip(chosen, doubled):
+        assert abs(value - again) / abs(again) < ctx.mpf(2) ** -315
 
 
 @pytest.mark.parametrize(
@@ -241,24 +250,52 @@ def test_params_validation():
 
 
 def test_precision_unachievable_on_tiny_imaginary_part():
-    # Im tau = 1e-5 at 256+64 bits needs M ~ 3.5e6 terms, above MAX_TERMS
-    thin = rounded(mpmath.mpc(0, "1e-5"), 256)
-    with pytest.raises(EvaluationError, match="exceeds the cap"):
-        siegel_power(0, 1, thin, 2, "-")
-    # Im tau = 0.01 at 64+16 bits needs M = 885 terms, within the cap
+    # Im tau = 1e-5 at 256+64 bits needs M > 3.5e6 terms, above MAX_TERMS,
+    # and Im tau = 1e-400, which a float cannot hold, needs far more
+    for imag in ("1e-5", "1e-400"):
+        thin = rounded(mpmath.mpc(0, imag), 256)
+        with pytest.raises(EvaluationError, match="exceeds the cap"):
+            siegel_power(0, 1, thin, 2, "-")
+    # Im tau = 0.01 at 64+16 bits needs M = 2319 terms, within the cap
     low = rounded(mpmath.mpc(0, "0.01"), 256)
     val = siegel_power(0, 1, low, 2, "-", precision=64, guard=16)
     assert abs(val) > 0
 
 
-def test_factor_moduli_stay_near_one():
-    # every factor (1 - q^n q_z^{+-1}) for n >= 1 is within |q|^(n - r1) of 1
-    ctx = context(128)
-    tau = ctx.mpc(SQRT5_I)
-    q = ctx.exp(2j * ctx.pi * tau)
-    r1 = Fraction(1, 6)
-    qz = ctx.exp(2j * ctx.pi * (tau / 6 + ctx.mpf(1) / 6))
-    for n in range(1, 20):
-        hi = abs(q) ** (n - float(r1))
-        assert abs(abs(1 - q**n * qz) - 1) <= hi
-        assert abs(abs(1 - q**n / qz) - 1) <= hi
+def test_series_tail_is_below_the_truncation_bound():
+    # mpmath alone, at the CM points of the reduced forms (1, 0, 5) and
+    # (4, 3, 5): with M = ceil(work ln 2 / (2 pi Im tau)) + 2, the first term
+    # (-1)^n zeta^(wn) r^E of the triple-product series with
+    # E = N n(n-1)/2 + v n > N M, on each side of n, is below 2^-work |q|^2,
+    # and the whole tail on that side below that divided by 1 - |q|
+    work = 320
+    for (a, b, c), N in (((1, 0, 5), 6), ((4, 3, 5), 30)):
+        with mpmath.workprec(work):
+            tau = mpmath.mpc(-b, mpmath.sqrt(4 * a * c - b * b)) / (2 * a)
+            q = abs(mpmath.exp(2j * mpmath.pi * tau))
+            M = int(mpmath.ceil(work * mpmath.ln(2) / (2 * mpmath.pi * tau.imag))) + 2
+            bound = mpmath.mpf(2) ** -work * q**2
+            for v in range(N):
+                for step in (1, -1):
+                    exponents = (N * n * (n - 1) // 2 + v * n for n in itertools.count(0, step))
+                    first = next(E for E in exponents if E > N * M)
+                    omitted = [q ** (mpmath.mpf(E) / N) for E in [first, *itertools.islice(exponents, 20)]]
+                    assert omitted[0] < bound
+                    assert mpmath.fsum(omitted) < bound / (1 - q)
+
+
+@pytest.mark.parametrize("d, N, p", [(-71, 30, 256), (-311, 12, 1408)])
+def test_eta_denominator_matches_mpmath(d, N, p):
+    # the per-form 1/prod(1 - q^m) on the reduced CM point with the least
+    # Im tau, against 1/mpmath.qp(q) at 2W bits: the docstring's budget puts
+    # it within 2^-(work+5) from truncation and 2^-(work+7) from fixed point
+    records = conjugates(validate_discriminant(d), N, precision=64)
+    point = min({rec.point for rec in records}, key=lambda pt: float(to_complex(pt, 64).imag))
+    work = p + 64
+    key = context(work).mpc(to_complex(point, work))._mpc_
+    tables = siegel_eval._form_tables(key, N, work)
+    with mpmath.workprec(2 * tables.bits):
+        tau = mpmath.mp.make_mpc(key)
+        ref = 1 / mpmath.qp(mpmath.exp(2j * mpmath.pi * tau))
+        ours = mpmath.mpc(*tables.eta) / mpmath.mpf(2) ** tables.bits
+        assert abs(ours - ref) < abs(ref) * mpmath.mpf(2) ** -(work + 4)
