@@ -24,7 +24,7 @@ from math import floor, log10
 
 from .errors import EvaluationError, InputError
 # context is imported for its cache statistics, which the benchmark reads
-from .exactmath import DEFAULT_PRECISION, context, require_level  # noqa: F401
+from .exactmath import DEFAULT_PRECISION, context, require_integers, require_level  # noqa: F401
 from .normal_basis import (
     ConjugateRecord,
     check_criterion,
@@ -32,7 +32,7 @@ from .normal_basis import (
     minimal_polynomial,
     siegel_ramachandra_invariant,
 )
-from .quadforms import reduced_forms, validate_discriminant
+from .quadforms import reduced_forms, theta_of_form, validate_discriminant
 
 SCHEMA_VERSION = 4
 SUBCOMMANDS = ("forms", "conjugates", "normal-basis", "minpoly", "invariant")
@@ -50,6 +50,7 @@ class RunConfig:
     def __post_init__(self):
         if self.subcommand not in SUBCOMMANDS:
             raise InputError(f"unknown subcommand {self.subcommand!r}")
+        require_integers(self, "precision")
         if self.precision < MIN_PRECISION:
             raise InputError(f"precision must be >= {MIN_PRECISION} bits")
         if self.level is not None:
@@ -109,7 +110,7 @@ def format_complex(z) -> str:
 def _conjugate_rows(records: list[ConjugateRecord]) -> list[dict]:
     rows = []
     for rec in records:
-        alpha = rec.index.alpha
+        alpha, point = rec.alpha, theta_of_form(rec.form)
         rows.append(
             {
                 "alpha": {
@@ -117,9 +118,9 @@ def _conjugate_rows(records: list[ConjugateRecord]) -> list[dict]:
                     "s": alpha.m21,
                     "matrix": [[alpha.m11, alpha.m12], [alpha.m21, alpha.m22]],
                 },
-                "form": list(rec.index.form.as_tuple()),
+                "form": list(rec.form.as_tuple()),
                 "vector": list(rec.vector.as_tuple()),
-                "point": {"p": rec.point.p, "q": rec.point.q, "d": rec.point.d},
+                "point": {"p": point.p, "q": point.q, "d": point.d},
                 "value": format_complex(rec.value),
             }
         )

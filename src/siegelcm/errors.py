@@ -5,7 +5,8 @@ discriminant that is not negative, 0 or 1 mod 4 and fundamental
 (``validate_discriminant``), d in {-3, -4} (``w_group``), a level that is
 not an integer >= 2 (``exactmath.require_level``), a precision that is not
 an integer >= 2 (``exactmath.context``), a value outside the invariants of
-``QuadIrrational``, ``QuadForm``, ``MatrixModN`` or ``FracVector`` or with
+``QuadIrrational``, ``QuadForm``, ``MatrixModN`` or ``FracVector`` (a
+non-integral field among them, ``exactmath.require_integers``) or with
 mismatched moduli, records that are not closed under complex conjugation
 (``minimal_polynomial``), and the other argument checks of
 ``siegel_power``, ``normal_basis`` and the CLI's ``RunConfig``.

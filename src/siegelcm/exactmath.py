@@ -29,6 +29,19 @@ def is_integral(x) -> bool:
         return False
 
 
+def require_integers(obj, *names: str) -> None:
+    """Store the named fields of the frozen dataclass ``obj`` as ints.
+
+    A non-integral field is an InputError; an int costs one type test.
+    """
+    for name in names:
+        x = getattr(obj, name)
+        if type(x) is not int:
+            if not is_integral(x):
+                raise InputError(f"{type(obj).__name__}.{name} must be an integer, got {x!r}")
+            object.__setattr__(obj, name, int(x))
+
+
 # Fresh contexts are cloned from mpmath.mp and never mutated afterwards.
 @functools.lru_cache(maxsize=None)
 def context(bits: int) -> mpmath.ctx_mp.MPContext:
@@ -83,6 +96,7 @@ class QuadIrrational:
     d: int
 
     def __post_init__(self):
+        require_integers(self, "p", "q", "d")
         if self.q <= 0:
             raise InputError(f"denominator must be positive, got {self.q}")
         if self.d >= 0:

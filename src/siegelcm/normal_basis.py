@@ -1,42 +1,27 @@
 """Conjugate enumeration, the smallness certificate, and integer polynomials.
 
 The base singular value is x = g_{(0,1/N)}(theta)^{-12N/gcd(6,N)}.  Its
-conjugates are indexed by (alpha, Q) pairs; each one is evaluated as the
-same kind of power at the CM point of Q, with the vector (0, 1) pushed
-through alpha * beta_Q.  The certificate checks |x^gamma / x| < 1 for all
-non-identity conjugates and reports the least exponent m whose m-th powers
-clear the 1/#G threshold; the product over all conjugates of (X - x^gamma)
-is then expanded over complex-conjugate pairs in real fixed point and
-snapped to an integer polynomial.
+conjugates are indexed by the product set of forms Q and W classes alpha;
+each one is evaluated as the same kind of power at the CM point of Q,
+with the vector (0, 1) pushed through alpha * beta_Q.  The certificate
+checks |x^gamma / x| < 1 for all non-identity conjugates and reports the
+least exponent m whose m-th powers clear the 1/#G threshold; the product
+over all conjugates of (X - x^gamma) is then expanded over conjugate
+pairs in real fixed point and snapped to an integer polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
-from operator import attrgetter
 
 import mpmath
 from mpmath.libmp import to_fixed, to_rational
 
 from .errors import EvaluationError, InputError, SnapFailureError
-from .exactmath import (
-    DEFAULT_GUARD,
-    DEFAULT_PRECISION,
-    QuadIrrational,
-    context,
-    is_integral,
-    to_complex,
-)
+from .exactmath import DEFAULT_GUARD, DEFAULT_PRECISION, context, is_integral, to_complex
 from .quadforms import Discriminant, QuadForm, theta, theta_of_form
-from .reciprocity import (
-    ConjugateIndex,
-    FracVector,
-    act_vector,
-    beta_modN,
-    conjugate_indices,
-)
+from .reciprocity import FracVector, MatrixModN, act_vector, beta_modN, conjugate_indices
 from .siegel_eval import siegel_power
 
 # Added to the observed maximum ratio before both certificate comparisons,
@@ -49,14 +34,15 @@ SNAP_TOLERANCE = 1e-10
 
 @dataclass(frozen=True)
 class ConjugateRecord:
-    """One conjugate: its index, transformed vector, CM point, and value.
+    """One conjugate: its index (alpha, form), transformed vector, and value.
 
-    ``value`` is an mpc of ``context(precision)``; records pickle.
+    The CM point is ``theta_of_form(form)``.  ``value`` is an mpc of
+    ``context(precision)``; records pickle.
     """
 
-    index: ConjugateIndex
+    alpha: MatrixModN
+    form: QuadForm
     vector: FracVector
-    point: QuadIrrational
     value: mpmath.mpc
 
 
@@ -120,11 +106,11 @@ def conjugates(
 ) -> list[ConjugateRecord]:
     """Evaluate every conjugate of the base value, identity record first.
 
-    For each index (alpha, Q): the vector is (0, 1) alpha beta_Q in
-    canonical form, the point is the CM point of Q, and the value is the
-    -12N/gcd(6,N) power of g at that point, carried at ``precision`` bits
-    (evaluated with a fixed DEFAULT_GUARD = 64 extra working bits).  The
-    indices come grouped by form, so beta_Q, the point and tau are made
+    The records run over forms Q, principal first, and within each over
+    the W classes alpha, identity first.  Record (alpha, Q) has the vector
+    (0, 1) alpha beta_Q in canonical form and the value the -12N/gcd(6,N)
+    power of g at the CM point of Q, carried at ``precision`` bits (with a
+    fixed DEFAULT_GUARD = 64 extra working bits); beta_Q and tau are made
     once per form.  The principal form has beta = 1, so the first record
     is the base value itself with vector (0, 1).
 
@@ -136,16 +122,16 @@ def conjugates(
     Every other record is evaluated, among them all records of the forms
     that are their own partner (b = 0, b = a or a = c).
     """
+    forms, group = conjugate_indices(d, N)
     base = FracVector.make(0, 1, N)
     records = []
     mirrored = {}
-    for Q, indices in groupby(conjugate_indices(d, N), key=attrgetter("form")):
+    for Q in forms:
         beta = beta_modN(Q, N)
-        point = theta_of_form(Q)
-        tau = to_complex(point, precision + DEFAULT_GUARD)
+        tau = to_complex(theta_of_form(Q), precision + DEFAULT_GUARD)
         form = Q.as_tuple()
-        for idx in indices:
-            vector = act_vector(base, idx.alpha * beta)
+        for alpha in group:
+            vector = act_vector(base, alpha * beta)
             known = mirrored.get((form, vector))
             if known is not None:
                 value = known.conjugate()
@@ -155,7 +141,7 @@ def conjugates(
                 )
                 if Q.b < 0:
                     mirrored[_partner(Q, vector)] = value
-            records.append(ConjugateRecord(index=idx, vector=vector, point=point, value=value))
+            records.append(ConjugateRecord(alpha, Q, vector, value))
     return records
 
 
@@ -188,7 +174,7 @@ def least_certifying_power(max_ratio, group_order: int) -> int:
     try:
         ratio = Fraction(max_ratio)
     except (OverflowError, TypeError, ValueError) as exc:
-        raise InputError(f"max_ratio must be a finite rational, got {max_ratio}") from exc
+        raise InputError(f"max_ratio must be a finite float or Fraction, got {max_ratio}") from exc
     if ratio >= 1:
         raise InputError(f"max_ratio must be < 1, got {max_ratio}")
     if ratio <= 0 or group_order == 1:
@@ -258,7 +244,7 @@ def minimal_polynomial(records: list[ConjugateRecord]) -> IntPolynomial:
     """
     F = _checked_precision(records) + 64
     bound = mpmath.ldexp(1, 2 - min(r.value.context.prec for r in records))
-    by_key = {(r.index.form.as_tuple(), r.vector): r for r in records}
+    by_key = {(r.form.as_tuple(), r.vector): r for r in records}
     if len(by_key) < len(records):
         raise InputError("records repeat a (form, vector) pair")
     done = set()
@@ -267,7 +253,7 @@ def minimal_polynomial(records: list[ConjugateRecord]) -> IntPolynomial:
         if key in done:
             continue
         z = rec.value
-        partner_key = _partner(rec.index.form, rec.vector)
+        partner_key = _partner(rec.form, rec.vector)
         partner = by_key.get(partner_key)
         if partner is None:
             raise InputError("records are not closed under complex conjugation")

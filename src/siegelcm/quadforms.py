@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .errors import InputError
-from .exactmath import QuadIrrational, is_integral
+from .exactmath import QuadIrrational, is_integral, require_integers
 
 
 def _squarefree(n: int) -> bool:
@@ -68,6 +68,7 @@ class QuadForm:
     c: int
 
     def __post_init__(self):
+        require_integers(self, "a", "b", "c")
         if self.a <= 0:
             raise InputError(f"form must be positive definite: a = {self.a}")
         if self.discriminant >= 0:

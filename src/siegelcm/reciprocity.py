@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import InputError
-from .exactmath import require_level
+from .exactmath import require_integers, require_level
 from .quadforms import Discriminant, QuadForm, principal_form, reduced_forms
 
 IntMatrix = tuple[tuple[int, int], tuple[int, int]]
@@ -34,6 +34,7 @@ class MatrixModN:
     modulus: int
 
     def __post_init__(self):
+        require_integers(self, "m11", "m12", "m21", "m22", "modulus")
         n = require_level(self.modulus)
         if not all(0 <= e < n for e in self.entries()):
             raise InputError(f"entries must be residues mod {n}: {self.entries()}")
@@ -81,6 +82,7 @@ class FracVector:
     modulus: int
 
     def __post_init__(self):
+        require_integers(self, "v", "w", "modulus")
         n = require_level(self.modulus)
         if not (0 <= self.v < n and 0 <= self.w < n):
             raise InputError(f"vector entries must be residues mod {n}")
@@ -97,14 +99,6 @@ class FracVector:
 
     def as_tuple(self) -> tuple[int, int]:
         return (self.v, self.w)
-
-
-@dataclass(frozen=True)
-class ConjugateIndex:
-    """One index (alpha, Q): alpha is a W class's canonical matrix (:func:`w_group`)."""
-
-    alpha: MatrixModN
-    form: QuadForm
 
 
 def beta_local(Q: QuadForm, p: int) -> IntMatrix:
@@ -191,15 +185,14 @@ def act_vector(vec: FracVector, M: MatrixModN) -> FracVector:
     return FracVector.make(v * M.m11 + w * M.m21, v * M.m12 + w * M.m22, vec.modulus)
 
 
-def conjugate_indices(d: Discriminant, N: int) -> list[ConjugateIndex]:
-    """The full index list: every (alpha, Q), grouped by form.
+def conjugate_indices(d: Discriminant, N: int) -> tuple[list[QuadForm], list[MatrixModN]]:
+    """The index set C(d) x W/{+-1} of the conjugates, as its two factors.
 
-    First entry is (identity, principal form); within each form the W
-    classes come in w_group order.  The length is #W/{+-1} times h(d).
+    Returns (forms, group): the reduced forms of d, principal form first,
+    and the W classes of :func:`w_group`, identity first, so the pair
+    (identity, principal form) indexes the base value.  There are h(d)
+    times #W/{+-1} indices.  W is made first, so d in {-3, -4} is
+    rejected before any form is enumerated.
     """
     group = w_group(d, N)
-    return [
-        ConjugateIndex(alpha=alpha, form=Q)
-        for Q in reduced_forms(d)
-        for alpha in group
-    ]
+    return reduced_forms(d), group

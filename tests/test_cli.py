@@ -68,6 +68,10 @@ def test_run_config_validation():
         RunConfig(subcommand="minpoly", disc=-20, level=6, format="yaml")
     with pytest.raises(InputError):
         RunConfig(subcommand="modpoly", disc=-20, level=6)
+    with pytest.raises(InputError, match="precision must be an integer, got 256.5"):
+        RunConfig("forms", -20, None, precision=256.5)
+    with pytest.raises(InputError, match="precision must be an integer, got '256'"):
+        RunConfig("forms", -20, None, precision="256")
 
 
 def test_normal_basis_subcommand():
@@ -120,6 +124,15 @@ def test_conjugates_subcommand():
     row = doc["result"]["conjugates"][0]
     assert row["vector"] == [0, 1]
     assert row["point"] == {"p": -1, "q": 2, "d": -7}
+    # every row's point is the CM point (-b + sqrt(b^2 - 4ac))/(2a) of its form
+    code, out, _ = run_cli(["conjugates", "--disc", "-20", "-N", "6"])
+    assert code == 0
+    rows = json.loads(out)["result"]["conjugates"]
+    for row in rows:
+        a, b, c = row["form"]
+        assert row["point"] == {"p": -b, "q": 2 * a, "d": b * b - 4 * a * c}
+    points = [(r["point"]["p"], r["point"]["q"], r["point"]["d"]) for r in rows]
+    assert points == [(0, 2, -20)] * 4 + [(-2, 4, -20)] * 4
 
 
 def test_invariant_subcommand():

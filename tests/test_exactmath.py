@@ -23,6 +23,11 @@ def test_quad_irrational_validation():
         QuadIrrational(p=0, q=2, d=5)
     with pytest.raises(InputError):
         QuadIrrational(p=0, q=2, d=-5)  # -5 = 3 mod 4
+    with pytest.raises(InputError, match="QuadIrrational.p must be an integer"):
+        QuadIrrational(p=0.5, q=2, d=-20)
+    with pytest.raises(InputError, match="QuadIrrational.d must be an integer"):
+        QuadIrrational(p=0, q=2, d=-20.5)
+    assert QuadIrrational(p=0, q=2.0, d=-20) == QuadIrrational(p=0, q=2, d=-20)
 
 
 def _close_to_digits(x, digits: str, bits: int = 60) -> bool:

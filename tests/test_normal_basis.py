@@ -18,8 +18,11 @@ from siegelcm import (
     FracVector,
     InputError,
     SnapFailureError,
+    act_vector,
     agreement_bits,
+    beta_modN,
     check_criterion,
+    conjugate_indices,
     conjugates,
     context,
     least_certifying_power,
@@ -30,6 +33,7 @@ from siegelcm import (
     siegel_power,
     siegel_ramachandra_invariant,
     theta,
+    theta_of_form,
     to_complex,
     validate_discriminant,
     w_group,
@@ -66,16 +70,22 @@ def test_conjugates_level_six_vectors(records_20_6):
     assert got == expected
 
 
-def test_conjugates_points_grouped(records_20_6):
-    pts = [(r.point.p, r.point.q, r.point.d) for r in records_20_6]
-    assert pts[:4] == [(0, 2, -20)] * 4
-    assert pts[4:] == [(-2, 4, -20)] * 4
+def test_records_run_over_forms_times_group():
+    # record k is (alpha, Q) = (group[k % #W], forms[k // #W]), with the
+    # vector (0, 1) alpha beta_Q; (-23, 8) has three forms and 16 W classes
+    d, N = validate_discriminant(-23), 8
+    forms, group = conjugate_indices(d, N)
+    records = conjugates(d, N, precision=64)
+    assert [(r.form, r.alpha) for r in records] == [(Q, alpha) for Q in forms for alpha in group]
+    base = FracVector.make(0, 1, N)
+    for rec in records:
+        assert rec.vector == act_vector(base, rec.alpha * beta_modN(rec.form, N))
 
 
 def test_identity_record_first(records_20_6):
     first = records_20_6[0]
-    assert first.index.alpha.is_identity()
-    assert first.index.form.as_tuple() == (1, 0, 5)
+    assert first.alpha.is_identity()
+    assert first.form.as_tuple() == (1, 0, 5)
     assert first.vector.as_tuple() == (0, 1)
     ctx = context(300)
     frozen = ctx.mpf(FROZEN_X1)
@@ -97,7 +107,8 @@ def test_conjugates_single_index_case():
     recs = conjugates(validate_discriminant(-7), 2, precision=256)
     assert len(recs) == 1
     assert recs[0].vector.as_tuple() == (0, 1)
-    assert (recs[0].point.p, recs[0].point.q, recs[0].point.d) == (-1, 2, -7)
+    point = theta_of_form(recs[0].form)
+    assert (point.p, point.q, point.d) == (-1, 2, -7)
     # the lone value is exactly -1
     ctx = context(280)
     assert abs(ctx.mpc(recs[0].value) + 1) < ctx.mpf(2) ** -250
@@ -109,26 +120,27 @@ def test_mirrored_records_match_the_oracle():
     # own vector and CM point, at 2p + 64 bits
     p, N, work = 128, 8, 2 * 128 + 64
     records = conjugates(validate_discriminant(-23), N, precision=p)
-    chosen = [rec for rec in records if rec.index.form.b > 0]
+    chosen = [rec for rec in records if rec.form.b > 0]
     assert len(chosen) == 16
     e = power_exponent(N, "-")
     for rec in chosen:
         v, w = rec.vector.as_tuple()
-        tau = context(work).mpc(to_complex(rec.point, work))
+        tau = context(work).mpc(to_complex(theta_of_form(rec.form), work))
         with mpmath.workprec(work):
             g = oracle_siegel_g(Fraction(v, N), Fraction(w, N), tau, prec=work)
             ref = rounded(g**e, work)
-        assert agreement_bits(rec.value, ref) >= p, (rec.index.form, v, w)
+        assert agreement_bits(rec.value, ref) >= p, (rec.form, v, w)
 
 
 @pytest.mark.parametrize("d, N, p", [(-95, 12, 512), (-71, 30, 256)])
 def test_mirrored_records_match_direct_evaluation(d, N, p):
     records = conjugates(validate_discriminant(d), N, precision=p)
     for rec in records:
-        if rec.index.form.b > 0:
+        if rec.form.b > 0:
             v, w = rec.vector.as_tuple()
-            direct = siegel_power(v, w, to_complex(rec.point, 2 * p + 64), N, "-", precision=2 * p)
-            assert agreement_bits(rec.value, direct) >= p, (rec.index.form, v, w)
+            tau = to_complex(theta_of_form(rec.form), 2 * p + 64)
+            direct = siegel_power(v, w, tau, N, "-", precision=2 * p)
+            assert agreement_bits(rec.value, direct) >= p, (rec.form, v, w)
 
 
 @pytest.mark.parametrize(
@@ -242,7 +254,7 @@ def test_least_certifying_power_exact_boundaries():
 
 @pytest.mark.parametrize("ratio", [mpmath.inf, mpmath.nan, float("inf"), float("nan")])
 def test_least_certifying_power_rejects_nonfinite(ratio):
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="finite float or Fraction"):
         least_certifying_power(ratio, 8)
 
 
@@ -268,7 +280,7 @@ def test_minimal_polynomial_level_six_run(records_20_6):
 
 
 def _key(rec):
-    return rec.index.form.as_tuple(), rec.vector
+    return rec.form.as_tuple(), rec.vector
 
 
 # (-20, 6) has forms with b = 0 and b = a, (-23, 8) adds two forms
@@ -280,8 +292,8 @@ def test_partner_map_closes_every_record_set(d, N):
     by_key = {_key(rec): rec for rec in records}
     assert len(by_key) == len(records)
     for rec in records:
-        partner = by_key[normal_basis._partner(rec.index.form, rec.vector)]
-        assert normal_basis._partner(partner.index.form, partner.vector) == _key(rec)
+        partner = by_key[normal_basis._partner(rec.form, rec.vector)]
+        assert normal_basis._partner(partner.form, partner.vector) == _key(rec)
         bits = agreement_bits(partner.value, rec.value.conjugate())
         assert bits >= p - 1, (_key(rec), bits)
 
@@ -305,7 +317,7 @@ def test_minimal_polynomial_matches_complex_expansion(d, N):
 def test_minimal_polynomial_needs_every_partner(records_20_6):
     records = list(records_20_6)
     dropped = records.pop(5)
-    assert normal_basis._partner(dropped.index.form, dropped.vector) != _key(dropped)
+    assert normal_basis._partner(dropped.form, dropped.vector) != _key(dropped)
     with pytest.raises(InputError, match="not closed under complex conjugation"):
         minimal_polynomial(records)
     with pytest.raises(InputError, match="repeat"):

@@ -108,6 +108,11 @@ def test_quadform_constructor_rejects_bad_forms():
         QuadForm(-1, 0, 5)  # not positive definite
     with pytest.raises(InputError):
         QuadForm(1, 0, -5)  # positive discriminant
+    with pytest.raises(InputError, match="QuadForm.a must be an integer"):
+        QuadForm(1.5, 0, 5)
+    with pytest.raises(InputError, match="QuadForm.c must be an integer"):
+        QuadForm(1, 0, float("inf"))
+    assert QuadForm(1.0, 0, 5).as_tuple() == (1, 0, 5)
 
 
 def test_theta_examples():

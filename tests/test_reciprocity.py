@@ -226,6 +226,14 @@ def test_frac_vector_validation():
     with pytest.raises(InputError, match="moduli differ"):
         act_vector(FracVector.make(0, 1, 6), MatrixModN.make(1, 0, 0, 1, 5))
     assert FracVector.make(6, 7, 6).as_tuple() == (0, 1)  # reduced mod N
+    with pytest.raises(InputError, match="FracVector.v must be an integer"):
+        FracVector(0.5, 1, 6)
+    with pytest.raises(InputError, match="FracVector.w must be an integer"):
+        FracVector(0, float("nan"), 6)
+    with pytest.raises(InputError, match="FracVector.modulus must be an integer"):
+        FracVector(0, 1, "6")
+    v = FracVector(0, 1.0, 6)  # an integral float is stored as its int
+    assert v == FracVector.make(0, 1, 6) and type(v.w) is int
 
 
 def test_matrix_modn_validation():
@@ -237,22 +245,35 @@ def test_matrix_modn_validation():
         MatrixModN.make(1, 0, 0, 1, 6) * MatrixModN.make(1, 0, 0, 1, 5)
     with pytest.raises(InputError):
         MatrixModN.make(1, 0, 0, 1, 6.5)  # not truncated to level 6
+    with pytest.raises(InputError, match="MatrixModN.modulus must be an integer"):
+        MatrixModN(1, 0, 0, 1, 6.5)
+    with pytest.raises(InputError, match="MatrixModN.m12 must be an integer"):
+        MatrixModN(1, 0.5, 0, 1, 6)
+    # an integral float modulus is stored as its int, as make() stores it
+    m = MatrixModN(1, 0, 0, 1, 6.0)
+    assert m == MatrixModN.make(1, 0, 0, 1, 6) and type(m.modulus) is int
     m = MatrixModN.make(5, 1, 3, 4, 6)
     assert m.canonical().entries() == (1, 5, 3, 2)
 
 
 def test_conjugate_indices_counts_and_first():
-    idx = conjugate_indices(D20, 6)
-    assert len(idx) == 8
-    assert idx[0].alpha.is_identity()
-    assert idx[0].form.as_tuple() == (1, 0, 5)
-    assert len(conjugate_indices(validate_discriminant(-7), 2)) == 1
-    assert len(conjugate_indices(D20, 2)) == 4
+    def count(d, N):
+        forms, group = conjugate_indices(d, N)
+        return len(forms) * len(group)
+
+    forms, group = conjugate_indices(D20, 6)
+    assert group[0].is_identity()
+    assert forms[0].as_tuple() == (1, 0, 5)
+    assert count(D20, 6) == 8
+    assert count(validate_discriminant(-7), 2) == 1
+    assert count(D20, 2) == 4
     with pytest.raises(InputError, match="extra units"):
         conjugate_indices(validate_discriminant(-4), 6)
 
 
 def test_conjugate_indices_grouped_by_form():
-    idx = conjugate_indices(D20, 6)
-    forms = [i.form.as_tuple() for i in idx]
-    assert forms == [(1, 0, 5)] * 4 + [(2, 2, 3)] * 4
+    # the index set is the product of its two factors, each in its own order
+    forms, group = conjugate_indices(D20, 6)
+    assert [Q.as_tuple() for Q in forms] == [(1, 0, 5), (2, 2, 3)]
+    assert forms == reduced_forms(D20)
+    assert group == w_group(D20, 6) and len(group) == 4

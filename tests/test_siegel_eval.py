@@ -18,6 +18,7 @@ from siegelcm import (
     power_exponent,
     rounded,
     siegel_power,
+    theta_of_form,
     to_complex,
     validate_discriminant,
 )
@@ -140,9 +141,9 @@ def test_truncation_soundness(monkeypatch):
 def test_siegel_power_matches_oracle_on_a_whole_form(d, N, sign, p, pick, terms):
     # every vector of one form, against the oracle's power at 2p bits
     records = conjugates(validate_discriminant(d), N, precision=64)
-    form = pick(rec.index.form.as_tuple() for rec in records)
-    chosen = [rec for rec in records if rec.index.form.as_tuple() == form]
-    tau = to_complex(chosen[0].point, p + 64)
+    form = pick(rec.form.as_tuple() for rec in records)
+    chosen = [rec for rec in records if rec.form.as_tuple() == form]
+    tau = to_complex(theta_of_form(chosen[0].form), p + 64)
     e = power_exponent(N, sign)
     for rec in chosen:
         v, w = rec.vector.as_tuple()
@@ -160,12 +161,12 @@ def test_values_do_not_depend_on_the_table_cache():
 
     def again(rec):
         v, w = rec.vector.as_tuple()
-        return siegel_power(v, w, to_complex(rec.point, 192), 30, "-", precision=128)
+        return siegel_power(v, w, to_complex(theta_of_form(rec.form), 192), 30, "-", precision=128)
 
     for rec in records[::7]:
         siegel_eval._form_tables.cache_clear()
         assert again(rec) == rec.value
-    for rec in sorted(records, key=lambda rec: (rec.vector.as_tuple(), rec.point.q)):
+    for rec in sorted(records, key=lambda rec: (rec.vector.as_tuple(), theta_of_form(rec.form).q)):
         assert again(rec) == rec.value
 
 
@@ -290,7 +291,7 @@ def test_eta_denominator_matches_mpmath(d, N, p):
     # Im tau, against 1/mpmath.qp(q) at 2W bits: the docstring's budget puts
     # it within 2^-(work+5) from truncation and 2^-(work+7) from fixed point
     records = conjugates(validate_discriminant(d), N, precision=64)
-    point = min({rec.point for rec in records}, key=lambda pt: float(to_complex(pt, 64).imag))
+    point = min({theta_of_form(rec.form) for rec in records}, key=lambda pt: float(to_complex(pt, 64).imag))
     work = p + 64
     key = context(work).mpc(to_complex(point, work))._mpc_
     tables = siegel_eval._form_tables(key, N, work)
