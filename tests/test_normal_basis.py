@@ -70,6 +70,14 @@ def test_conjugates_level_six_vectors(records_20_6):
     assert got == expected
 
 
+def test_conjugates_points_grouped(records_20_6):
+    # records carry the form; the CM point is the form's root theta_Q
+    pts = [theta_of_form(r.form) for r in records_20_6]
+    pts = [(pt.p, pt.q, pt.d) for pt in pts]
+    assert pts[:4] == [(0, 2, -20)] * 4
+    assert pts[4:] == [(-2, 4, -20)] * 4
+
+
 def test_records_run_over_forms_times_group():
     # record k is (alpha, Q) = (group[k % #W], forms[k // #W]), with the
     # vector (0, 1) alpha beta_Q; (-23, 8) has three forms and 16 W classes
