@@ -1,14 +1,18 @@
 """Command-line front end: argument parsing, reports, exit codes.
 
 One parser takes the subcommand and the flags ``--disc``, ``-N/--level``,
-``--precision`` and ``--format``.  The numeric policy is fixed in the
-library: 64 guard bits during evaluation and a snap tolerance of 1e-10.
+``--precision`` and ``--format``; ``build_parser`` builds it once per
+process and every ``main`` call reuses it.  The numeric policy is fixed
+in the library: 64 guard bits during evaluation and a snap tolerance of
+1e-10.
 
 Exit codes: 0 success, 2 rejected input (``InputError``), 3 evaluation
 failure (``EvaluationError``); ``errors`` lists what raises each.
 Reports go to stdout as JSON (default) or text; both carry the same
-numbers.  High-precision values are rendered as decimal strings holding
-only certified digits (``format_complex``), and output for a fixed
+numbers.  ``render_json`` writes exactly the bytes of
+``json.dumps(doc, indent=2)`` without its pure-Python indent encoder.
+High-precision values are rendered as decimal strings holding only
+certified digits (``format_complex``), and output for a fixed
 configuration is byte-identical across runs; the elapsed time, which is
 not, goes to stderr.
 """
@@ -16,10 +20,12 @@ not, goes to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
 from dataclasses import asdict, dataclass
+from json.encoder import encode_basestring_ascii
 from math import floor, log10
 
 from .errors import EvaluationError, InputError
@@ -50,11 +56,12 @@ class RunConfig:
     def __post_init__(self):
         if self.subcommand not in SUBCOMMANDS:
             raise InputError(f"unknown subcommand {self.subcommand!r}")
-        require_integers(self, "precision")
+        require_integers(self, "disc", "precision")
         if self.precision < MIN_PRECISION:
             raise InputError(f"precision must be >= {MIN_PRECISION} bits")
         if self.level is not None:
             require_level(self.level)
+            require_integers(self, "level")
         elif self.subcommand != "forms":
             raise InputError("level must be an integer >= 2")
         if self.format not in ("json", "text"):
@@ -166,9 +173,50 @@ def _compute(config: RunConfig) -> dict:
     }
 
 
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+_float_json = json.JSONEncoder().encode  # repr, NaN, Infinity, -Infinity
+
+
+def _json(value, indent: str, out: list[str]) -> None:
+    """Append ``value`` to ``out`` as ``json.dumps(value, indent=2)`` writes it.
+
+    json.dumps takes CPython's C encoder only when indent is None; this
+    writes the same bytes for str-keyed dicts, lists, tuples, str, int,
+    float, bool and None, and raises TypeError on any other type.
+    ``indent`` is a newline and the current indentation.
+    """
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None or value is True or value is False:
+        out.append(_CONSTANTS[value])
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_float_json(value))
+    elif isinstance(value, dict):
+        inner, sep = indent + "  ", "{"
+        for key, item in value.items():
+            # encode_basestring_ascii raises TypeError on a key that is not a str
+            out += sep, inner, encode_basestring_ascii(key), ": "
+            _json(item, inner, out)
+            sep = ","
+        out.append(indent + "}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        inner, sep = indent + "  ", "["
+        for item in value:
+            out += sep, inner
+            _json(item, inner, out)
+            sep = ","
+        out.append(indent + "]" if value else "[]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def render_json(config: RunConfig, result: dict) -> str:
     doc = {"schema": SCHEMA_VERSION, "config": asdict(config), "result": result}
-    return json.dumps(doc, indent=2)
+    out: list[str] = []
+    _json(doc, "\n", out)
+    return "".join(out)
 
 
 def _text_lines(prefix: str, value, out: list[str]):
@@ -210,7 +258,9 @@ def run(config: RunConfig, stdout=None, stderr=None) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call; parse_args keeps no state."""
     parser = argparse.ArgumentParser(
         prog="siegelcm",
         description=(

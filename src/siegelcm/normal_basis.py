@@ -225,11 +225,14 @@ def minimal_polynomial(records: list[ConjugateRecord]) -> IntPolynomial:
     The product is real, so it runs over conjugate pairs: ``_partner``
     names each record's partner exactly, a pair contributes
     X^2 - 2 Re(z) X + |z|^2 and a record that is its own partner (a real
-    value) contributes X - Re(z).  A record whose partner is missing, or
-    two records with the same form and vector, are an InputError.  Each partner must lie within 2^(2-p) |z| of conj(z), and
-    a real value's |Im z| within half of that, p being the lowest record
-    precision: both values carry a relative error below 2^-p, so a larger
-    gap is an EvaluationError.
+    value) contributes X - Re(z).  The factors are multiplied in ascending
+    order of |z| (by binary exponent, ties in record order), so the
+    coefficients grow to full size only in the last products.  A record
+    whose partner is missing, or two records with the same form and
+    vector, are an InputError.  Each partner must lie within 2^(2-p) |z|
+    of conj(z), and a real value's |Im z| within half of that, p being the
+    lowest record precision: both values carry a relative error below
+    2^-p, so a larger gap is an EvaluationError.
 
     Coefficients are Python integers scaled by 2^F, F = p' + 64 with p'
     the records' precision.  Every integer step truncates by less than one
@@ -247,8 +250,7 @@ def minimal_polynomial(records: list[ConjugateRecord]) -> IntPolynomial:
     by_key = {(r.form.as_tuple(), r.vector): r for r in records}
     if len(by_key) < len(records):
         raise InputError("records repeat a (form, vector) pair")
-    done = set()
-    coeffs = [1 << F]
+    done, factors = set(), []
     for key, rec in by_key.items():
         if key in done:
             continue
@@ -263,8 +265,12 @@ def minimal_polynomial(records: list[ConjugateRecord]) -> IntPolynomial:
                 f"disagrees beyond its error bound"
             )
         done.add(partner_key)
+        factors.append((z, partner_key == key))
+    factors.sort(key=lambda factor: factor[0].context.mag(factor[0]))
+    coeffs = [1 << F]
+    for z, real in factors:
         re = to_fixed(z.real._mpf_, F)
-        if partner_key == key:
+        if real:
             coeffs = [c - (re * p >> F) for c, p in zip(coeffs + [0], [0] + coeffs)]
         else:
             im = to_fixed(z.imag._mpf_, F)

@@ -26,7 +26,8 @@ expjpi per CM point build and ``_form_tables`` memoizes.  Both exponents e
 exponential: x = g^e = zeta^j r^k P^e with the integers j = e w (v-N) / (2N)
 and k = e (6v^2 - 6vN + N^2) / (12N).  r^k and P^e are binary powers of
 Gaussian integers with W-bit mantissas and a binary exponent, and x is
-rounded once, to the stated precision.
+rounded once, to the stated precision.  k depends on v alone, so the
+tables also keep each r^|k| once it is computed.
 
 Error budget, relative to x, with work = precision + guard bits.  Write
 x_q = |q|, y = x_q^{1/2}, rho = |r| and a = v/N.
@@ -184,6 +185,7 @@ class _Tables(NamedTuple):
     zeta: tuple  # zeta^j for j < N
     eta: tuple  # 1/prod_{m>=1} (1 - q^m)
     r: tuple  # r as a Gaussian float with W-bit mantissas, the base of r^k
+    rk: dict  # |k| -> r^|k|, filled as vectors need it
 
 
 # A few entries suffice, since conjugates evaluates the vectors of one form
@@ -219,6 +221,7 @@ def _form_tables(tau, level: int, work: int) -> _Tables:
         zeta=_ladder(_fixed(wide.expjpi(wide.mpf(2) / level), bits), level - 1, bits),
         eta=((re << 2 * bits) // norm, (-im << 2 * bits) // norm),
         r=(*_fixed(r, shift), -shift),
+        rk={},
     )
 
 
@@ -285,11 +288,14 @@ def siegel_power(
     # x = zeta^j r^k P^e; both quotients are exact for either exponent
     j = e * w * (v - N) // (2 * N)
     k = e * (6 * v * v - 6 * v * N + N * N) // (12 * N)
+    rk = tables.rk.get(abs(k))
+    if rk is None:
+        rk = tables.rk[abs(k)] = _pow(tables.r, abs(k), W)
     num, den = (*tables.zeta[j % N], -W), (1, 0, 0)
-    for base, n in ((tables.r, k), ((pr, pi, -W), e)):
+    for power, n in ((rk, k), (_pow((pr, pi, -W), abs(e), W), e)):
         if n > 0:
-            num = _mul(num, _pow(base, n, W), W)
+            num = _mul(num, power, W)
         else:
-            den = _mul(den, _pow(base, -n, W), W)
+            den = _mul(den, power, W)
     re, im, exp = _div(num, den, W)
     return out.mpc(out.mpf((re, exp)), out.mpf((im, exp)))

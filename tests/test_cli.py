@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import mpmath
@@ -72,6 +73,8 @@ def test_run_config_validation():
         RunConfig("forms", -20, None, precision=256.5)
     with pytest.raises(InputError, match="precision must be an integer, got '256'"):
         RunConfig("forms", -20, None, precision="256")
+    with pytest.raises(InputError, match="disc must be an integer, got -20.5"):
+        RunConfig("forms", -20.5, None)
 
 
 def test_normal_basis_subcommand():
@@ -211,6 +214,66 @@ def test_printed_digits_are_certified(d, N, p):
             assert text.endswith("+0.0i")
             real += 1
     assert real > 0
+
+
+def test_run_config_stores_integers():
+    floats = RunConfig("conjugates", -20.0, 2.0, precision=64.0)
+    assert (type(floats.disc), type(floats.level), type(floats.precision)) == (int, int, int)
+    out_floats, out_ints = io.StringIO(), io.StringIO()
+    assert run(floats, stdout=out_floats, stderr=io.StringIO()) == 0
+    assert run(RunConfig("conjugates", -20, 2, precision=64), stdout=out_ints, stderr=io.StringIO()) == 0
+    assert out_floats.getvalue() == out_ints.getvalue()
+
+
+def _dumps(config, result):
+    return json.dumps({"schema": cli.SCHEMA_VERSION, "config": asdict(config), "result": result}, indent=2)
+
+
+def test_render_json_matches_json_dumps_on_pinned_requests():
+    for pin in json.loads(PINS_PATH.read_text()):
+        config = RunConfig(**vars(cli.build_parser().parse_args(pin["argv"])))
+        try:
+            result = cli._compute(config)
+        except (InputError, EvaluationError):
+            continue
+        assert cli.render_json(config, result) == _dumps(config, result), pin["argv"]
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {}, [], (), [[], {}, [[]]], {"a": {}, "b": []}, (1, (2, 3)), [(), {"t": ()}],
+        -0.0, 0.0, 1e-300, 1e300, 0.1, float("nan"), float("inf"), float("-inf"),
+        True, False, None, 0, -(10**40), "", "caf\u00e9 \"q\" \\ \n\t\x01",
+    ],
+)
+def test_render_json_matches_json_dumps_on_edge_values(value):
+    config = RunConfig("forms", -20, None)
+    for result in ({"edge": value}, {"edge": [value, {"nested": value}], "after": 1}):
+        assert cli.render_json(config, result) == _dumps(config, result)
+
+
+@pytest.mark.parametrize("value", [object(), {1, 2}, mpmath.mpf(1), b"bytes"])
+def test_render_json_rejects_unsupported_types(value):
+    config = RunConfig("forms", -20, None)
+    with pytest.raises(TypeError):
+        _dumps(config, {"edge": value})
+    with pytest.raises(TypeError):
+        cli.render_json(config, {"edge": [value]})
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_reused_parser_keeps_no_state(capsys):
+    assert main(["minpoly", "--disc", "-20", "-N", "6"]) == 0
+    capsys.readouterr()
+    assert main(["forms", "--disc", "-20"]) == 0
+    out = capsys.readouterr().out
+    assert '"level": null' in out
+    doc = json.loads(out)
+    assert doc["config"]["precision"] == 256
 
 
 def test_main_entry_point(capsys):

@@ -16,6 +16,7 @@ from siegelcm import (
     conjugates,
     context,
     power_exponent,
+    reduced_forms,
     rounded,
     siegel_power,
     theta_of_form,
@@ -168,6 +169,26 @@ def test_values_do_not_depend_on_the_table_cache():
         assert again(rec) == rec.value
     for rec in sorted(records, key=lambda rec: (rec.vector.as_tuple(), theta_of_form(rec.form).q)):
         assert again(rec) == rec.value
+
+
+def test_cached_powers_of_r_are_bit_identical():
+    # the tables keep r^|k| per v; a warm cache must give the cold bits
+    d, N, p = validate_discriminant(-1031), 7, 256
+    form = reduced_forms(d)[1]
+    tau = to_complex(theta_of_form(form), p + 64)
+    vectors = [(v, w) for v in range(N) for w in range(N) if v or w]
+
+    def cold(v, w):
+        siegel_eval._form_tables.cache_clear()
+        return siegel_power(v, w, tau, N, precision=p)._mpc_
+
+    fresh = [cold(v, w) for v, w in vectors]
+    siegel_eval._form_tables.cache_clear()
+    warm = [siegel_power(v, w, tau, N, precision=p)._mpc_ for v, w in vectors]
+    assert warm == fresh
+    # k depends on v through v (N - v) alone
+    tables = siegel_eval._form_tables(context(p + 64).mpc(tau)._mpc_, N, p + 64)
+    assert len(tables.rk) == len({v * (N - v) for v in range(N)})
 
 
 def test_power_exponent():
