@@ -110,9 +110,10 @@ def conjugates(
     the W classes alpha, identity first.  Record (alpha, Q) has the vector
     (0, 1) alpha beta_Q in canonical form and the value the -12N/gcd(6,N)
     power of g at the CM point of Q, carried at ``precision`` bits (with a
-    fixed DEFAULT_GUARD = 64 extra working bits); beta_Q and tau are made
-    once per form.  The principal form has beta = 1, so the first record
-    is the base value itself with vector (0, 1).
+    fixed DEFAULT_GUARD = 64 extra working bits); beta_Q and tau, the CM
+    point first rounded to precision + 64 bits, are made once per form, and
+    the error bound is relative to g at that tau.  The principal form has
+    beta = 1, so the first record is the base value itself with vector (0, 1).
 
     Complex conjugation saves about half the evaluations.  ``_partner``
     maps each record to the one whose value is its complex conjugate.  A
@@ -300,6 +301,7 @@ def minimal_polynomial(records: list[ConjugateRecord]) -> IntPolynomial:
 def siegel_ramachandra_invariant(
     d: Discriminant, N: int, precision: int = DEFAULT_PRECISION
 ) -> mpmath.mpc:
-    """The 12N-th power g_{(0,1/N)}(theta)^{12N} at the standard generator."""
+    """g_{(0,1/N)}(theta)^{12N} at the standard generator theta, first
+    rounded to precision + 64 bits; the error bound is relative to that."""
     tau = to_complex(theta(d), precision + DEFAULT_GUARD)
     return siegel_power(0, 1, tau, N, "+", precision=precision, guard=DEFAULT_GUARD)

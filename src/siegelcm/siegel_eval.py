@@ -29,8 +29,10 @@ Gaussian integers with W-bit mantissas and a binary exponent, and x is
 rounded once, to the stated precision.  k depends on v alone, so the
 tables also keep each r^|k| once it is computed.
 
-Error budget, relative to x, with work = precision + guard bits.  Write
-x_q = |q|, y = x_q^{1/2}, rho = |r| and a = v/N.
+Error budget, with work = precision + guard bits, relative to x at the mpc
+tau ``siegel_power`` is given, rounded to work bits: an error that tau
+already carries is not in it.  Write x_q = |q|, y = x_q^{1/2}, rho = |r|
+and a = v/N.
 
 - Bounds.  E0 = prod_m (1 - x_q^m) >= exp(-pi^2 x_q / (6 (1 - x_q))) and
   E0 <= |eta| <= 1/E0.  |P| >= lambda = min(4/N, (1 - rho)(1 - y)) E0^2.
@@ -47,9 +49,15 @@ x_q = |q|, y = x_q^{1/2}, rho = |r| and a = v/N.
   of eta.  Once x_q^M <= 2^{-work-6} (1 - x_q) lambda E0, S and eta are off
   by less than 2^{-work-5} of |S| and of |eta|, and P by less than
   2^{-work-3}.  M = ceil((work + t) ln 2 / (2 pi Im tau)) + 2 gives
-  x_q^M <= 2^{-work-t} x_q^2, and ``_tail_bits`` takes the least t >= 0
+  x_q^M <= 2^{-work-t} x_q^2, and ``_budget`` takes the least t >= 0
   with 2^{-t} x_q^2 <= 2^{-6} (1 - x_q) lambda E0; t = 0 at the reduced CM
-  points of every level below 3000.
+  points of every level below 3000.  ``_budget`` works in floats, on Im
+  tau clamped to >= 1e-7, below which M exceeds MAX_TERMS whatever t is.
+  Six roundings within 2^-52 (Im tau, pi, their product, ln 2, the product,
+  the quotient) keep the quotient within 2^-49 of itself, so raised by
+  2^-40 of itself before the ceil it never puts M below the formula; M is
+  above it only where the quotient is within 2^-40 of itself below an
+  integer.
 - Fixed point.  r and zeta come from exp and expjpi at >= W bits and are
   cut to W bits, so each is off by < 3 units of 2^-W; each step of a
   ladder adds < 1.5 units (its cut), shrunk by the modulus of every later
@@ -61,7 +69,7 @@ x_q = |q|, y = x_q^{1/2}, rho = |r| and a = v/N.
   2 Lambda T + K T + 4K <= (K + Lambda)(2T + 4).  eta, of fewer terms, is
   off by K T, 1/eta by (K T + 2) / E0^2, and P = S (1/eta), relative to
   |P| = |S| / |eta|, by U / (lambda E0^3) units, U = (2K + Lambda + 1)
-  (2T + 4).  ``_scale_bits`` takes W = work + 8 + log2(U / (lambda E0^3)),
+  (2T + 4).  ``_budget`` takes W = work + 8 + log2(U / (lambda E0^3)),
   which keeps that below 2^{-work-7}, second-order terms included; W - work
   is 19 to 28 bits at the reduced CM points of the benchmark.  With the
   truncation, P is within 2^{-work-2} of the true value.
@@ -92,36 +100,24 @@ from .exactmath import DEFAULT_GUARD, DEFAULT_PRECISION, context, is_integral, r
 MAX_TERMS = 10**6
 
 
-def _truncation_index(ctx, imag, bits: int) -> int:
-    m = ctx.ceil(bits * ctx.ln2 / (2 * ctx.pi * imag)) + 2
-    if m > MAX_TERMS:
+def _budget(tau, level: int, work: int) -> tuple[int, int]:
+    """M and W, the truncation index and fixed-point scale at the mpc tau."""
+    x = 2 * math.pi * max(float(tau.imag), 1e-7)  # -ln |q|, clamped as the docstring says
+    gap = -math.expm1(-x)
+    log_e0 = -math.pi**2 / 6 * math.exp(-x) / gap * math.log2(math.e)
+    log_lam = math.log2(min(4 / level, -math.expm1(-x / level) * -math.expm1(-x / 2))) + 2 * log_e0
+    t = math.ceil(6 - 2 * x * math.log2(math.e) - math.log2(gap) - log_lam - log_e0)
+    tail = work + max(0, t)
+    terms = math.ceil(tail * math.log(2) / x * (1 + 2**-40)) + 2
+    if terms > MAX_TERMS:
+        index = "" if tau.imag < 1e-7 else f" {terms}"
         raise EvaluationError(
-            f"truncation index {m} exceeds the cap of {MAX_TERMS} terms "
-            f"(Im tau = {ctx.nstr(imag, 8)} is too small for a tail below 2^-{bits})"
+            f"truncation index{index} exceeds the cap of {MAX_TERMS} terms (Im tau = "
+            f"{tau.context.nstr(tau.imag, 8)} is too small for a tail below 2^-{tail})"
         )
-    return int(m)
-
-
-def _bounds(imag: float, level: int) -> tuple[float, float, float, float]:
-    """log2 |q|, 1 - |q|, log2 E0 and log2 lambda: see the module docstring."""
-    gap = -math.expm1(-2 * math.pi * imag)
-    log_e0 = -math.pi**2 / 6 * math.exp(-2 * math.pi * imag) / gap * math.log2(math.e)
-    floor = min(4 / level, -math.expm1(-2 * math.pi * imag / level) * -math.expm1(-math.pi * imag))
-    return -2 * math.pi * imag * math.log2(math.e), gap, log_e0, math.log2(floor) + 2 * log_e0
-
-
-def _tail_bits(imag: float, level: int) -> int:
-    """t, the bits that M covers beyond work: see the module docstring."""
-    log_x, gap, log_e0, log_lam = _bounds(imag, level)
-    return max(0, math.ceil(6 + 2 * log_x - math.log2(gap) - log_lam - log_e0))
-
-
-def _scale_bits(imag: float, level: int, terms: int, work: int) -> int:
-    """W, the fixed-point scale of the series: see the module docstring."""
-    _, gap, log_e0, log_lam = _bounds(imag, level)
-    table = (3 * level - 2 / math.expm1(-2 * math.pi * imag / level)) / gap**2 + 2 / gap + 5 * level
+    table = (3 * level - 2 / math.expm1(-x / level)) / gap**2 + 2 / gap + 5 * level
     units = (4 * (math.isqrt(2 * terms) + 3) + 2 + 2 / gap) * (2 * table + 4)
-    return work + 8 + math.ceil(math.log2(units) - log_lam - 3 * log_e0)
+    return terms, work + 8 + math.ceil(math.log2(units) - log_lam - 3 * log_e0)
 
 
 def _fixed(z, bits: int) -> tuple[int, int]:
@@ -192,13 +188,8 @@ class _Tables(NamedTuple):
 # together; more would only carry tables from one request to the next.
 @functools.lru_cache(maxsize=4)
 def _form_tables(tau, level: int, work: int) -> _Tables:
-    """The tables of the point whose raw ``_mpc_`` tuple at work bits is tau."""
-    ctx = context(work)
-    tau = ctx.make_mpc(tau)
-    # below 1e-7 the cap on M trips whatever t is, so the float bounds need not go lower
-    imag = max(float(tau.imag), 1e-7)
-    terms = _truncation_index(ctx, tau.imag, work + _tail_bits(imag, level))
-    bits = _scale_bits(imag, level, terms, work)
+    """The tables of the point tau, an mpc at work bits."""
+    terms, bits = _budget(tau, level, work)
     # at least W bits, rounded up so that few contexts are ever made
     wide = context(-(-bits // 64) * 64)
     r = wide.exp(2j * wide.pi * wide.mpc(tau) / level)
@@ -261,7 +252,7 @@ def siegel_power(
     e = power_exponent(level, exponent_sign)
     out = context(precision)
     work = precision + int(guard)
-    tables = _form_tables(context(work).mpc(tau)._mpc_, level, work)
+    tables = _form_tables(context(work).mpc(tau), level, work)
     N, W = level, tables.bits
 
     # S = sum_n (-1)^n zeta^(wn) r^E, E = N n(n-1)/2 + v n, over E <= N M, from

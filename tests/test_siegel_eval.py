@@ -11,6 +11,7 @@ import pytest
 from siegelcm import (
     EvaluationError,
     InputError,
+    QuadForm,
     QuadIrrational,
     agreement_bits,
     conjugates,
@@ -24,7 +25,6 @@ from siegelcm import (
     validate_discriminant,
 )
 from siegelcm import siegel_eval
-from siegelcm.siegel_eval import _truncation_index
 
 from oracles import oracle_siegel_g
 
@@ -108,26 +108,50 @@ def test_truncation_soundness(monkeypatch):
     # (|e| + |k| + 1) 2^-(work+1) <= 20 * 2^-321 at N = 6, so each value is
     # within 2^-316 of the oracle's at 640 bits and of the doubled one's,
     # far closer than the last series term kept on either side of n or an
-    # error 64 bits above 2^-W would leave it
-    ctx = context(320)
-    key = (ctx.mpc(SQRT5_I)._mpc_, 6, 320)
+    # error 64 bits above 2^-W would leave it.  The doubled M takes W + 1
+    # bits, at least its own scale: the term count K grows by less than
+    # sqrt(2), so U, and with it W, by less than one bit
+    key = (context(320).mpc(SQRT5_I), 6, 320)
     vectors = [(0, 1), (1, 2)]
     chosen = [siegel_power(v, w, SQRT5_I, 6, "-", precision=320, guard=0) for v, w in vectors]
     with mpmath.workprec(640):
         for (v, w), value in zip(vectors, chosen):
             ref = oracle_siegel_g(Fraction(v, 6), Fraction(w, 6), context(640).mpc(SQRT5_I), 100, 640) ** -12
             assert abs(value - ref) / abs(ref) < mpmath.mpf(2) ** -316
-    m = siegel_eval._form_tables(*key).terms
+    budget = siegel_eval._budget
+    m, bits = budget(*key)
     assert len(siegel_eval._form_tables(*key).qpow) == m + 1
-    monkeypatch.setattr(siegel_eval, "_truncation_index", lambda *args: 2 * _truncation_index(*args))
+    monkeypatch.setattr(siegel_eval, "_budget", lambda *args: (2 * budget(*args)[0], budget(*args)[1] + 1))
     siegel_eval._form_tables.cache_clear()
     try:
         doubled = [siegel_power(v, w, SQRT5_I, 6, "-", precision=320, guard=0) for v, w in vectors]
-        assert len(siegel_eval._form_tables(*key).qpow) == 2 * m + 1
+        tables = siegel_eval._form_tables(*key)
+        assert (len(tables.qpow), tables.bits) == (2 * m + 1, bits + 1)
     finally:
         siegel_eval._form_tables.cache_clear()
     for value, again in zip(chosen, doubled):
-        assert abs(value - again) / abs(again) < ctx.mpf(2) ** -315
+        assert abs(value - again) / abs(again) < mpmath.mpf(2) ** -315
+
+
+def test_float_truncation_index_is_the_exact_formula():
+    # _budget's float M against M = ceil((work + t) ln 2 / (2 pi Im tau)) + 2
+    # in mpmath at work bits, at every reduced CM point of four discriminants,
+    # with t, the least t >= 0 with 2^-t x_q^2 <= 2^-6 (1 - x_q) lambda E0,
+    # from the docstring's bounds: 0 at level 2999, and at level 100000 on
+    # (9, 7, 10) large enough to raise M at 576, 1472 and 4288 bits
+    forms = [Q for d in (-20, -71, -311, -1031) for Q in reduced_forms(validate_discriminant(d))]
+    points = [*((Q, 2999) for Q in forms), (QuadForm(9, 7, 10), 100000)]
+    for work in (192, 320, 576, 1472, 4288):
+        ctx = context(work)
+        for Q, N in points:
+            tau = to_complex(theta_of_form(Q), work)
+            x_q = ctx.exp(-2 * ctx.pi * tau.imag)
+            e0 = ctx.exp(-(ctx.pi**2) * x_q / (6 * (1 - x_q)))
+            lam = min(ctx.mpf(4) / N, (1 - ctx.root(x_q, N)) * (1 - ctx.sqrt(x_q))) * e0**2
+            t = max(0, 6 + int(ctx.ceil(ctx.log(x_q**2 / ((1 - x_q) * lam * e0), 2))))
+            assert (t > 0) == (N > 3000), (Q, N, work)
+            m = int(ctx.ceil((work + t) * ctx.ln2 / (2 * ctx.pi * tau.imag))) + 2
+            assert siegel_eval._budget(tau, N, work)[0] == m, (Q, N, work)
 
 
 @pytest.mark.parametrize(
@@ -187,7 +211,7 @@ def test_cached_powers_of_r_are_bit_identical():
     warm = [siegel_power(v, w, tau, N, precision=p)._mpc_ for v, w in vectors]
     assert warm == fresh
     # k depends on v through v (N - v) alone
-    tables = siegel_eval._form_tables(context(p + 64).mpc(tau)._mpc_, N, p + 64)
+    tables = siegel_eval._form_tables(context(p + 64).mpc(tau), N, p + 64)
     assert len(tables.rk) == len({v * (N - v) for v in range(N)})
 
 
@@ -272,11 +296,16 @@ def test_params_validation():
 
 
 def test_precision_unachievable_on_tiny_imaginary_part():
-    # Im tau = 1e-5 at 256+64 bits needs M > 3.5e6 terms, above MAX_TERMS,
-    # and Im tau = 1e-400, which a float cannot hold, needs far more
-    for imag in ("1e-5", "1e-400"):
+    # Im tau = 1e-5 at 256+64 bits needs M > 3.5e6 terms, above MAX_TERMS (t
+    # raises it further), and Im tau = 1e-400, which a float cannot hold,
+    # needs far more: the budget, clamped at 1e-7, names no M for it
+    cases = [
+        ("1e-5", r"^truncation index 1254048627 exceeds the cap .*Im tau = 1\.0e-5 "),
+        ("1e-400", r"^truncation index exceeds the cap .*Im tau = 1\.0e-400 "),
+    ]
+    for imag, message in cases:
         thin = rounded(mpmath.mpc(0, imag), 256)
-        with pytest.raises(EvaluationError, match="exceeds the cap"):
+        with pytest.raises(EvaluationError, match=message):
             siegel_power(0, 1, thin, 2, "-")
     # Im tau = 0.01 at 64+16 bits needs M = 2319 terms, within the cap
     low = rounded(mpmath.mpc(0, "0.01"), 256)
@@ -314,10 +343,10 @@ def test_eta_denominator_matches_mpmath(d, N, p):
     records = conjugates(validate_discriminant(d), N, precision=64)
     point = min({theta_of_form(rec.form) for rec in records}, key=lambda pt: float(to_complex(pt, 64).imag))
     work = p + 64
-    key = context(work).mpc(to_complex(point, work))._mpc_
+    key = to_complex(point, work)
     tables = siegel_eval._form_tables(key, N, work)
     with mpmath.workprec(2 * tables.bits):
-        tau = mpmath.mp.make_mpc(key)
+        tau = mpmath.mpc(key)
         ref = 1 / mpmath.qp(mpmath.exp(2j * mpmath.pi * tau))
         ours = mpmath.mpc(*tables.eta) / mpmath.mpf(2) ** tables.bits
         assert abs(ours - ref) < abs(ref) * mpmath.mpf(2) ** -(work + 4)
