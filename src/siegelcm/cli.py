@@ -115,9 +115,10 @@ def format_complex(z) -> str:
 
 
 def _conjugate_rows(records: list[ConjugateRecord]) -> list[dict]:
+    points = {form: theta_of_form(form) for form in {rec.form for rec in records}}
     rows = []
     for rec in records:
-        alpha, point = rec.alpha, theta_of_form(rec.form)
+        alpha, point = rec.alpha, points[rec.form]
         rows.append(
             {
                 "alpha": {

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 
 import mpmath
-from mpmath.libmp import to_fixed, to_rational
+from mpmath.libmp import mpc_abs, mpf_cmp, mpf_div, to_fixed, to_float, to_rational
 
 from .errors import EvaluationError, InputError, SnapFailureError
 from .exactmath import DEFAULT_GUARD, DEFAULT_PRECISION, context, is_integral, to_complex
@@ -111,8 +112,9 @@ def conjugates(
     (0, 1) alpha beta_Q in canonical form and the value the -12N/gcd(6,N)
     power of g at the CM point of Q, carried at ``precision`` bits (with a
     fixed DEFAULT_GUARD = 64 extra working bits); beta_Q and tau, the CM
-    point first rounded to precision + 64 bits, are made once per form, and
-    the error bound is relative to g at that tau.  The principal form has
+    point first rounded to precision + 64 bits, are made once per form,
+    (0, 1) alpha once per class, and the error bound is relative to g at
+    that tau.  The principal form has
     beta = 1, so the first record is the base value itself with vector (0, 1).
 
     Complex conjugation saves about half the evaluations.  ``_partner``
@@ -125,14 +127,15 @@ def conjugates(
     """
     forms, group = conjugate_indices(d, N)
     base = FracVector.make(0, 1, N)
+    starts = [act_vector(base, alpha) for alpha in group]
     records = []
     mirrored = {}
     for Q in forms:
         beta = beta_modN(Q, N)
         tau = to_complex(theta_of_form(Q), precision + DEFAULT_GUARD)
         form = Q.as_tuple()
-        for alpha in group:
-            vector = act_vector(base, alpha * beta)
+        for alpha, start in zip(group, starts):
+            vector = act_vector(start, beta)
             known = mirrored.get((form, vector))
             if known is not None:
                 value = known.conjugate()
@@ -167,7 +170,8 @@ def least_certifying_power(max_ratio, group_order: int) -> int:
     to an exact rational, so boundary cases like 0.5^3 = 1/8 are decided
     without rounding.  Ratios so close to 1 that m exceeds 10^4 are decided
     by 128-bit logarithms instead (exact powers would be astronomically
-    large there, and one-off minimality has no practical meaning).
+    large there, and one-off minimality has no practical meaning).  A ratio
+    at or below 1/group_order gives 1 before any logarithm.
     """
     if not is_integral(group_order) or group_order < 1:
         raise InputError(f"group order must be a positive integer, got {group_order}")
@@ -178,9 +182,9 @@ def least_certifying_power(max_ratio, group_order: int) -> int:
         raise InputError(f"max_ratio must be a finite float or Fraction, got {max_ratio}") from exc
     if ratio >= 1:
         raise InputError(f"max_ratio must be < 1, got {max_ratio}")
-    if ratio <= 0 or group_order == 1:
-        return 1
     bound = Fraction(1, group_order)
+    if ratio <= bound:
+        return 1
     ctx = context(128)
     # log1p of the exact gap: log of the rounded ratio is 0 within 2^-128 of 1
     gap = 1 - ratio
@@ -199,15 +203,21 @@ def least_certifying_power(max_ratio, group_order: int) -> int:
 def check_criterion(records: list[ConjugateRecord]) -> CriterionReport:
     """Certify |x^gamma / x| < 1 over the non-identity records.
 
-    Ratios are moduli at working precision, relative to the identity
-    record (which must come first).  The maximum gets the 2^-64 safety
-    margin before the < 1 test and before the exponent search.
+    Ratios are moduli relative to the identity record (which must come
+    first): each modulus is rounded to its value's own precision and each
+    quotient to 16 bits above the records' highest, all to nearest, on
+    mpmath's raw tuples.  The maximum gets the 2^-64 safety margin before
+    the < 1 test and before the exponent search.
     """
-    ctx = context(_checked_precision(records) + 16)
-    base = abs(records[0].value)
+    prec = _checked_precision(records) + 16
+
+    def modulus(rec):  # abs() at the value's own precision
+        return mpc_abs(rec.value._mpc_, rec.value.context.prec, "n")
+
+    base = modulus(records[0])
     # finite over finite and non-zero: every ratio is finite, so max() is exact
-    ratios = [ctx.fdiv(abs(r.value), base) for r in records[1:]]
-    raw_max = Fraction(*to_rational(max(ratios)._mpf_)) if ratios else Fraction(0)
+    ratios = [mpf_div(modulus(r), base, prec, "n") for r in records[1:]]
+    raw_max = Fraction(*to_rational(max(ratios, key=cmp_to_key(mpf_cmp)))) if ratios else Fraction(0)
     margined = raw_max + RATIO_SAFETY_MARGIN
     passes = margined < 1
     m = least_certifying_power(margined, len(records)) if passes else None
@@ -216,7 +226,7 @@ def check_criterion(records: list[ConjugateRecord]) -> CriterionReport:
         max_ratio=float(margined),
         m=m,
         group_order=len(records),
-        ratios=tuple(float(r) for r in ratios),
+        ratios=tuple(to_float(r, rnd="n") for r in ratios),
     )
 
 

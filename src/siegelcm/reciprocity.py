@@ -168,13 +168,15 @@ def w_group(d: Discriminant, N: int) -> list[MatrixModN]:
     if d.d in (-3, -4):
         raise InputError(f"d = {d.d} needs extra units; index set unsupported")
     _, B, C = principal_form(d).as_tuple()
-    group = {
-        MatrixModN.make(t - B * s, -C * s, s, t, N).canonical()
-        for t in range(N)
-        for s in range(N)
-        if gcd(t * t - B * s * t + C * s * s, N) == 1
-    }
-    return sorted(group, key=lambda m: (not m.is_identity(), m.m22, m.m21))
+    # each class as the smaller of its two entry tuples, as canonical() picks
+    classes = set()
+    for t in range(N):
+        for s in range(N):
+            if gcd(t * t - B * s * t + C * s * s, N) == 1:
+                m = ((t - B * s) % N, -C * s % N, s, t)
+                classes.add(min(m, tuple(-e % N for e in m)))
+    order = sorted(classes, key=lambda m: (m != (1, 0, 0, 1), m[3], m[2]))
+    return [MatrixModN(*m, N) for m in order]
 
 
 def act_vector(vec: FracVector, M: MatrixModN) -> FracVector:

@@ -15,19 +15,27 @@ over an eta product that depends on tau alone:
 The kernel.  With (r1, r2) = (v/N, w/N), r = q^{1/N} and zeta = e^{2 pi i/N},
 q_z = zeta^w r^v, so the n-th term of S is (-1)^n zeta^{wn} r^E with the
 integer E = N n(n-1)/2 + v n >= 0, and r^E = q^{E div N} r^{E mod N}.  S keeps
-the terms with E <= N M, about 2 sqrt(2M) of them.  Terms with the same
-(wn mod N, E mod N) are added as table entries q^{E div N} first, so each
-group costs at most two multiplications, by zeta^{wn} and by r^{E mod N};
-E = vn mod N, so there are at most N groups.  Everything runs in Gaussian
-integers scaled by 2^W, from tables of q^n (n <= M), r^j (j <= N), zeta^j and
-1/eta (Euler's pentagonal series, then one division) that one exp and one
-expjpi per CM point build and ``_form_tables`` memoizes.  Both exponents e
-(-12N/gcd(6, N), and +12N) are even, so the lead factor needs no
-exponential: x = g^e = zeta^j r^k P^e with the integers j = e w (v-N) / (2N)
-and k = e (6v^2 - 6vN + N^2) / (12N).  r^k and P^e are binary powers of
-Gaussian integers with W-bit mantissas and a binary exponent, and x is
-rounded once, to the stated precision.  k depends on v alone, so the
-tables also keep each r^|k| once it is computed.
+the terms with E <= N M, about 2 sqrt(2M) of them.  E = vn mod N, so the
+r-factor of a term depends on v and its class c = n mod N alone, and w
+enters only through the twist zeta^{wc}.  So the tables keep, per v, the
+class sums D_c = r^{vc mod N} sum_{n = c mod N} (-1)^n q^{E div N} over the
+classes that some term falls in (``_class_sums``), made for the first
+vector with that v.  A vector adds them into the twist sums
+T_j = sum_{wc = j mod N} D_c and, with zeta^j = C_j + i S_j, takes
+
+    S = T_0 - T_{N/2} + sum_{0 < j < N/2} [C_j (T_j + T_{N-j}) + i S_j (T_j - T_{N-j})],
+
+four real products for each pair of twists (T_{N/2} only for even N).
+Everything runs in Gaussian integers scaled by 2^W, from tables of q^n
+(n <= M), r^j (j <= N) and 1/eta (Euler's pentagonal series, then one
+division) that one exp per CM point builds and ``_form_tables`` memoizes,
+and of zeta^j, which one expjpi builds per (N, W) and ``_roots`` memoizes.
+Both exponents e (-12N/gcd(6, N), and +12N) are even, so the lead factor
+needs no exponential: x = g^e = zeta^j r^k P^e with the integers
+j = e w (v-N) / (2N) and k = e (6v^2 - 6vN + N^2) / (12N).  r^k and P^e are
+binary powers of Gaussian integers with W-bit mantissas and a binary
+exponent, and x is rounded once, to the stated precision.  k depends on v
+alone, so the tables also keep each r^|k| once it is computed.
 
 Error budget, with work = precision + guard bits, relative to x at the mpc
 tau ``siegel_power`` is given, rounded to work bits: an error that tau
@@ -57,22 +65,33 @@ and a = v/N.
   the quotient) keep the quotient within 2^-49 of itself, so raised by
   2^-40 of itself before the ceil it never puts M below the formula; M is
   above it only where the quotient is within 2^-40 of itself below an
-  integer.
+  integer.  Above Im tau = 1e7 it takes the values at 1e7: M and W only
+  shrink as Im tau grows, so they still hold, and no float overflows.
 - Fixed point.  r and zeta come from exp and expjpi at >= W bits and are
-  cut to W bits, so each is off by < 3 units of 2^-W; each step of a
-  ladder adds < 1.5 units (its cut), shrunk by the modulus of every later
-  step.  So r^j (j <= N) is off by at most T_r = 3N + 2/(1 - rho) units,
-  q^n = (r^N)^n by T_r/(1 - x_q)^2 + 2/(1 - x_q), and zeta^j by 5N; T, the
-  sum of the three, bounds every table entry.  A group's sum of entries
-  q^{E div N}, times zeta^j and then r^b, is off by 2 |group| T plus its
-  entries' errors plus 4, so S, of K <= 2 sqrt(2M) + 3 terms, is off by
-  2 Lambda T + K T + 4K <= (K + Lambda)(2T + 4).  eta, of fewer terms, is
-  off by K T, 1/eta by (K T + 2) / E0^2, and P = S (1/eta), relative to
-  |P| = |S| / |eta|, by U / (lambda E0^3) units, U = (2K + Lambda + 1)
-  (2T + 4).  ``_budget`` takes W = work + 8 + log2(U / (lambda E0^3)),
-  which keeps that below 2^{-work-7}, second-order terms included; W - work
-  is 19 to 28 bits at the reduced CM points of the benchmark.  With the
-  truncation, P is within 2^{-work-2} of the true value.
+  cut to W bits, so each is off by < 3 units of 2^-W.  For r that needs
+  the exponent 2 pi i tau / N, of modulus below 2^{mag(tau) + 2}, to an
+  absolute error below 2^-W, which exp turns into r's relative error:
+  ``_form_tables`` forms it at >= W + max(0, mag(tau)) + 4 bits (rounded
+  up to a multiple of 64, like the other contexts it makes), so r keeps
+  W-bit accuracy at any Im tau.  Each step of a ladder adds < 1.5 units
+  (its cut), shrunk by the modulus of every later step.  So r^j (j <= N)
+  is off by at most T_r = 3N + 2/(1 - rho) units, q^n = (r^N)^n by
+  T_r/(1 - x_q)^2 + 2/(1 - x_q), and zeta^j by 5N; T, the sum of the
+  three, bounds every table entry.  Each class still costs at most two
+  products.  A class's sum G of entries q^{E div N}, times r^b once per
+  class, is off by |G| T plus its entries' errors plus 2.  A pair of
+  twists is exactly z T_j + conj(z) T_{N-j} for the table's z = zeta^j, so
+  its one pair product adds T (|T_j| + |T_{N-j}|) and its cut, 2, to the
+  errors of T_j and T_{N-j}; zeta^0 = 1 and zeta^{N/2} = -1 add nothing,
+  and there are no more twists than classes.  So S, of K <= 2 sqrt(2M) + 3
+  terms, is off by 2 Lambda T + K T + 4K <= (K + Lambda)(2T + 4).  eta, of
+  fewer terms, is off by K T, 1/eta by (K T + 2) / E0^2, and P = S (1/eta),
+  relative to |P| = |S| / |eta|, by U / (lambda E0^3) units,
+  U = (2K + Lambda + 1) (2T + 4).  ``_budget`` takes
+  W = work + 8 + log2(U / (lambda E0^3)), which keeps that below
+  2^{-work-7}, second-order terms included; W - work is 19 to 28 bits at
+  the reduced CM points of the benchmark.  With the truncation, P is
+  within 2^{-work-2} of the true value.
 - Powers.  r comes from exp at >= W bits, and every step of a binary power
   cuts its mantissas to W bits, so r^k and P^e amplify the errors above
   |k|-fold and |e|-fold.  With |e| <= 12N and |k| <= N^2 the total before
@@ -90,7 +109,7 @@ import math
 from math import gcd
 from typing import NamedTuple
 
-from mpmath.libmp import to_fixed
+from mpmath.libmp import from_man_exp, to_fixed
 
 from .errors import EvaluationError, InputError
 from .exactmath import DEFAULT_GUARD, DEFAULT_PRECISION, context, is_integral, require_level
@@ -102,7 +121,7 @@ MAX_TERMS = 10**6
 
 def _budget(tau, level: int, work: int) -> tuple[int, int]:
     """M and W, the truncation index and fixed-point scale at the mpc tau."""
-    x = 2 * math.pi * max(float(tau.imag), 1e-7)  # -ln |q|, clamped as the docstring says
+    x = 2 * math.pi * min(max(float(tau.imag), 1e-7), 1e7)  # -ln |q|, clamped as the docstring says
     gap = -math.expm1(-x)
     log_e0 = -math.pi**2 / 6 * math.exp(-x) / gap * math.log2(math.e)
     log_lam = math.log2(min(4 / level, -math.expm1(-x / level) * -math.expm1(-x / 2))) + 2 * log_e0
@@ -152,14 +171,15 @@ def _mul(x, y, bits: int):
 
 
 def _pow(x, n: int, bits: int):
-    """x^n for an integer n >= 0, by binary powering."""
-    acc = (1, 0, 0)
-    while n:
+    """x^n for an integer n >= 1, by binary powering."""
+    while not n & 1:
+        x = _mul(x, x, bits)
+        n >>= 1
+    acc = x
+    while n := n >> 1:
+        x = _mul(x, x, bits)
         if n & 1:
             acc = _mul(acc, x, bits)
-        n >>= 1
-        if n:
-            x = _mul(x, x, bits)
     return acc
 
 
@@ -178,21 +198,32 @@ class _Tables(NamedTuple):
     bits: int  # W
     qpow: tuple  # q^n for n <= M
     rpow: tuple  # r^j = q^(j/N) for j <= N
-    zeta: tuple  # zeta^j for j < N
+    zeta: tuple  # zeta^j for j < N, shared by every point of one (N, W)
     eta: tuple  # 1/prod_{m>=1} (1 - q^m)
     r: tuple  # r as a Gaussian float with W-bit mantissas, the base of r^k
     rk: dict  # |k| -> r^|k|, filled as vectors need it
+    sums: dict  # v -> ((c, D_c), ...) over the classes c of S's terms, filled likewise
+
+
+@functools.lru_cache(maxsize=8)
+def _roots(level: int, bits: int) -> tuple:
+    """zeta^j for j < N, zeta = e^(2 pi i/N), scaled by 2^bits."""
+    wide = context(-(-bits // 64) * 64)
+    return _ladder(_fixed(wide.expjpi(wide.mpf(2) / level), bits), level - 1, bits)
 
 
 # A few entries suffice, since conjugates evaluates the vectors of one form
-# together; more would only carry tables from one request to the next.
+# together, and each entry's class sums serve every vector of its form;
+# more would only carry tables from one request to the next.
 @functools.lru_cache(maxsize=4)
 def _form_tables(tau, level: int, work: int) -> _Tables:
     """The tables of the point tau, an mpc at work bits."""
     terms, bits = _budget(tau, level, work)
     # at least W bits, rounded up so that few contexts are ever made
     wide = context(-(-bits // 64) * 64)
-    r = wide.exp(2j * wide.pi * wide.mpc(tau) / level)
+    # the exponent to mag(tau) + 4 more bits, so that r keeps W bits at any Im tau
+    sharp = context(-(-(bits + max(0, wide.mag(tau)) + 4) // 64) * 64)
+    r = wide.exp(2j * sharp.pi * sharp.mpc(tau) / level)
     rpow = _ladder(_fixed(r, bits), level, bits)
     qpow = _ladder(rpow[level], terms, bits)
     # prod (1 - q^m) by Euler's pentagonal series, over the exponents <= M
@@ -209,11 +240,30 @@ def _form_tables(tau, level: int, work: int) -> _Tables:
         bits=bits,
         qpow=qpow,
         rpow=rpow,
-        zeta=_ladder(_fixed(wide.expjpi(wide.mpf(2) / level), bits), level - 1, bits),
+        zeta=_roots(level, bits),
         eta=((re << 2 * bits) // norm, (-im << 2 * bits) // norm),
         r=(*_fixed(r, shift), -shift),
         rk={},
+        sums={},
     )
+
+
+def _class_sums(tables: _Tables, v: int, level: int) -> tuple:
+    """(c, D_c) with D_c = r^(vc mod N) sum_{n = c mod N} (-1)^n q^(E div N).
+
+    The sum runs over the terms of S, E = N n(n-1)/2 + v n <= N M, from n = 0
+    up and n = -1 down; only the classes c that some term falls in appear.
+    """
+    N, W, qpow, rpow = level, tables.bits, tables.qpow, tables.rpow
+    limit, sums = N * tables.terms, {}
+    for n, ex, step, dn in ((0, 0, v, 1), (-1, N - v, 2 * N - v, -1)):
+        while ex <= limit:
+            a, b = qpow[ex // N]
+            sr, si = sums.get(n % N, (0, 0))
+            sums[n % N] = (sr - a, si - b) if n & 1 else (sr + a, si + b)
+            n, ex, step = n + dn, ex + step, step + N
+    # E = v n mod N, so r^(E mod N) is one factor per class
+    return tuple((c, _fmul(rpow[v * c % N], s, W) if v * c % N else s) for c, s in sums.items())
 
 
 def power_exponent(level: int, exponent_sign: str = "-") -> int:
@@ -253,27 +303,28 @@ def siegel_power(
     out = context(precision)
     work = precision + int(guard)
     tables = _form_tables(context(work).mpc(tau), level, work)
-    N, W = level, tables.bits
+    N, W, zeta = level, tables.bits, tables.zeta
 
-    # S = sum_n (-1)^n zeta^(wn) r^E, E = N n(n-1)/2 + v n, over E <= N M, from
-    # n = 0 up and n = -1 down.  r^E = q^(E div N) r^(E mod N), and the terms
-    # with one (wn mod N, E mod N) are summed before their two factors
-    qpow, rpow, limit = tables.qpow, tables.rpow, N * tables.terms
-    groups = {}
-    for n, ex, step, dn in ((0, 0, v, 1), (-1, N - v, 2 * N - v, -1)):
-        while ex <= limit:
-            key = w * n % N, ex % N
-            a, b = qpow[ex // N]
-            sr, si = groups.get(key, (0, 0))
-            groups[key] = (sr - a, si - b) if n & 1 else (sr + a, si + b)
-            n, ex, step = n + dn, ex + step, step + N
-    sr = si = 0
-    for (j, b), group in groups.items():
-        if j:
-            group = _fmul(tables.zeta[j], group, W)
-        if b:
-            group = _fmul(rpow[b], group, W)
-        sr, si = sr + group[0], si + group[1]
+    # S = sum_c zeta^(wc) D_c over the classes c = n mod N, with the twist
+    # sums T_j = sum_{wc = j} D_c; zeta^(N-j) is the conjugate of zeta^j, so
+    # zeta^j T_j + zeta^(N-j) T_(N-j) = C_j (T_j + T_(N-j)) + i S_j (T_j - T_(N-j))
+    sums = tables.sums.get(v)
+    if sums is None:
+        sums = tables.sums[v] = _class_sums(tables, v, N)
+    twists = {}
+    for c, (a, b) in sums:
+        j = w * c % N
+        ta, tb = twists.get(j, (0, 0))
+        twists[j] = (ta + a, tb + b)
+    sr, si = twists.pop(0, (0, 0))
+    if N % 2 == 0:
+        a, b = twists.pop(N // 2, (0, 0))
+        sr, si = sr - a, si - b
+    for j in {min(j, N - j) for j in twists}:
+        (a, b), (c, d) = twists.get(j, (0, 0)), twists.get(N - j, (0, 0))
+        cj, sj = zeta[j]
+        sr += (cj * (a + c) - sj * (b - d)) >> W
+        si += (cj * (b + d) + sj * (a - c)) >> W
     pr, pi = _fmul((sr, si), tables.eta, W)
 
     # x = zeta^j r^k P^e; both quotients are exact for either exponent
@@ -282,11 +333,13 @@ def siegel_power(
     rk = tables.rk.get(abs(k))
     if rk is None:
         rk = tables.rk[abs(k)] = _pow(tables.r, abs(k), W)
-    num, den = (*tables.zeta[j % N], -W), (1, 0, 0)
+    # factors of 1 (zeta^0, an empty numerator or denominator) are left out
+    num = (*zeta[j % N], -W) if j % N else None
+    den = None
     for power, n in ((rk, k), (_pow((pr, pi, -W), abs(e), W), e)):
         if n > 0:
-            num = _mul(num, power, W)
+            num = power if num is None else _mul(num, power, W)
         else:
-            den = _mul(den, power, W)
-    re, im, exp = _div(num, den, W)
-    return out.mpc(out.mpf((re, exp)), out.mpf((im, exp)))
+            den = power if den is None else _mul(den, power, W)
+    re, im, exp = num if den is None else _div((1, 0, 0) if num is None else num, den, W)
+    return out.make_mpc((from_man_exp(re, exp, out.prec, "n"), from_man_exp(im, exp, out.prec, "n")))

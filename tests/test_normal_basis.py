@@ -184,6 +184,20 @@ def test_check_criterion_level_six_run(records_20_6):
     assert max(report.ratios) <= report.max_ratio
 
 
+@pytest.mark.parametrize("d, N, p", [(-1031, 7, 256), (-311, 12, 1408)])
+def test_check_criterion_ratios_are_mpmath_quotients(d, N, p):
+    # each ratio is |z| / |base| divided at p + 16 bits, each modulus taken
+    # at its value's own precision, and max_ratio and m follow from them
+    recs = conjugates(validate_discriminant(d), N, precision=p)
+    report = check_criterion(recs)
+    ctx = context(p + 16)
+    exact = [ctx.fdiv(abs(r.value), abs(recs[0].value)) for r in recs[1:]]
+    assert report.ratios == tuple(float(r) for r in exact)
+    margined = Fraction(*mpmath.libmp.to_rational(max(exact)._mpf_)) + normal_basis.RATIO_SAFETY_MARGIN
+    assert report.max_ratio == float(margined)
+    assert report.m == least_certifying_power(margined, len(recs))
+
+
 def test_check_criterion_single_record():
     recs = conjugates(validate_discriminant(-7), 2, precision=128)
     report = check_criterion(recs)
@@ -247,6 +261,8 @@ def test_least_certifying_power_exact_boundaries():
     assert least_certifying_power(1e-5, 8) == 1
     assert least_certifying_power(0.0, 8) == 1
     assert least_certifying_power(0.5, 1) == 1
+    assert least_certifying_power(Fraction(1, 8), 8) == 1  # at 1/#G exactly
+    assert least_certifying_power(Fraction(1, 8) + Fraction(1, 2**200), 8) == 2
     assert least_certifying_power(Fraction(1, 2), 8) == 3
     # the 128-bit estimate is 8 here, so the exact walk steps down
     assert least_certifying_power(Fraction(1, 8), 2**21) == 7  # (1/8)^7 = 2^-21

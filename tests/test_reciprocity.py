@@ -155,6 +155,38 @@ def test_w_group_quotient_sizes():
             assert 2 * classes == raw
 
 
+def _kronecker(d: int, p: int) -> int:
+    """chi_d(p) for a prime p: Euler's criterion, and d mod 8 at p = 2."""
+    if p == 2:
+        return 0 if d % 2 == 0 else (1 if d % 8 in (1, 7) else -1)
+    r = pow(d, (p - 1) // 2, p)
+    return -1 if r == p - 1 else r
+
+
+def test_w_group_matches_canonical_matrices_and_the_closed_form():
+    # against a reference set made with MatrixModN.make(...).canonical() for
+    # every unit (t, s), and against #W/{+-1} = phi_K(N)/2 for N > 2 and
+    # phi_K(2) for N = 2, phi_K(N) = N^2 prod_{p | N} (1 - 1/p)(1 - chi_d(p)/p)
+    for d_int in (-7, -8, -15, -20, -23, -24, -31, -39, -40, -55, -56, -71):
+        d = validate_discriminant(d_int)
+        _, b, c = principal_form(d).as_tuple()
+        for N in range(2, 19):
+            group = w_group(d, N)
+            reference = {
+                MatrixModN.make(t - b * s, -c * s, s, t, N).canonical()
+                for t in range(N)
+                for s in range(N)
+                if gcd(t * t - b * s * t + c * s * s, N) == 1
+            }
+            assert set(group) == reference and len(group) == len(reference), (d_int, N)
+            assert group[0].is_identity()
+            assert [(m.m22, m.m21) for m in group[1:]] == sorted((m.m22, m.m21) for m in group[1:])
+            phi = N * N
+            for p in {p for p in range(2, N + 1) if N % p == 0 and all(p % q for q in range(2, p))}:
+                phi = phi * (p - 1) * (p - _kronecker(d_int, p)) // (p * p)
+            assert len(group) == (phi if N == 2 else phi // 2), (d_int, N)
+
+
 def test_w_elements_have_w_shape_and_unit_det():
     for d_int, N in [(-20, 6), (-23, 9), (-8, 12)]:
         d = validate_discriminant(d_int)

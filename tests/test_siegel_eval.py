@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import mpmath
@@ -161,6 +162,8 @@ def test_float_truncation_index_is_the_exact_formula():
         (-71, 30, "+", 256, max, 200),
         (-1031, 7, "-", 256, min, 200),  # principal: Im tau ~ 16, values near 10^+-300
         (-311, 12, "-", 1408, max, 400),
+        (-71, 2, "-", 256, max, 200),  # N = 2: no pairs of twists, only T_(N/2)
+        (-1031, 7, "+", 256, max, 200),  # odd N: every twist but T_0 in a pair
     ],
 )
 def test_siegel_power_matches_oracle_on_a_whole_form(d, N, sign, p, pick, terms):
@@ -213,6 +216,56 @@ def test_cached_powers_of_r_are_bit_identical():
     # k depends on v through v (N - v) alone
     tables = siegel_eval._form_tables(context(p + 64).mpc(tau), N, p + 64)
     assert len(tables.rk) == len({v * (N - v) for v in range(N)})
+
+
+def test_roots_are_the_expjpi_ladder_and_shared_per_level_and_scale():
+    for N, bits in ((2, 200), (7, 347), (12, 1500), (30, 4350)):
+        wide = context(-(-bits // 64) * 64)
+        zeta = wide.expjpi(wide.mpf(2) / N)
+        a, b = (int(wide.floor(wide.ldexp(part, bits))) for part in (zeta.real, zeta.imag))
+        ladder = [(1 << bits, 0)]
+        for _ in range(N - 1):
+            c, d = ladder[-1]
+            ladder.append(((a * c - b * d) >> bits, (a * d + b * c) >> bits))
+        assert siegel_eval._roots(N, bits) == tuple(ladder)
+    # conjugates builds them once per (N, W), however many forms share them
+    d, N, p = validate_discriminant(-311), 12, 1408
+    siegel_eval._roots.cache_clear()
+    siegel_eval._form_tables.cache_clear()
+    records = conjugates(d, N, precision=p)
+    work = p + 64
+    scales = {siegel_eval._budget(to_complex(theta_of_form(Q), work), N, work)[1] for Q in {r.form for r in records}}
+    assert siegel_eval._roots.cache_info().misses <= len(scales)
+
+
+def test_class_sums_hold_one_entry_per_v():
+    # after every vector of one form, one entry per v, each with at most
+    # 2 isqrt(2M) + 3 classes: no more than the series has terms
+    d, N, p = validate_discriminant(-71), 30, 256
+    records = conjugates(d, N, precision=64)
+    form = max(rec.form.as_tuple() for rec in records)
+    chosen = [rec for rec in records if rec.form.as_tuple() == form]
+    tau = to_complex(theta_of_form(chosen[0].form), p + 64)
+    siegel_eval._form_tables.cache_clear()
+    for rec in chosen:
+        siegel_power(*rec.vector.as_tuple(), tau, N, precision=p)
+    tables = siegel_eval._form_tables(context(p + 64).mpc(tau), N, p + 64)
+    assert set(tables.sums) == {rec.vector.v for rec in chosen}
+    for v, sums in tables.sums.items():
+        assert 0 < len(sums) <= 2 * math.isqrt(2 * tables.terms) + 3, v
+        assert len({c for c, _ in sums}) == len(sums)
+
+
+@pytest.mark.parametrize("imag", ["16", "1e20", "1e60", "1e300", "1e400"])
+def test_large_imaginary_part_keeps_the_precision(imag):
+    # the exponent of r carries log2 Im tau more bits, and the budget clamps
+    # Im tau from above, so neither the accuracy nor a float overflows
+    tau = rounded(mpmath.mpc("0.25", imag), 256)
+    ours = siegel_power(0, 1, tau, 6, "-", precision=64)
+    bits = 128 + int(mpmath.ceil(mpmath.log(mpmath.mpf(imag), 2))) + 64
+    with mpmath.workprec(bits):
+        ref = oracle_siegel_g(Fraction(0), Fraction(1, 6), context(bits).mpc(tau), 50, bits) ** -12
+        assert agreement_bits(ours, rounded(ref, bits)) >= 64
 
 
 def test_power_exponent():
