@@ -12,9 +12,9 @@ Reports go to stdout as JSON (default) or text; both carry the same
 numbers.  ``render_json`` writes exactly the bytes of
 ``json.dumps(doc, indent=2)`` without its pure-Python indent encoder.
 High-precision values are rendered as decimal strings holding only
-certified digits (``format_complex``), and output for a fixed
-configuration is byte-identical across runs; the elapsed time, which is
-not, goes to stderr.
+certified digits (``format_complex``), at any length (``_digits``).
+Output for a fixed configuration is byte-identical across runs; the
+elapsed time, which is not, goes to stderr.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ import functools
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from decimal import Decimal
 from json.encoder import encode_basestring_ascii
 from math import floor, log10
 
@@ -68,6 +69,11 @@ class RunConfig:
             raise InputError(f"unknown format {self.format!r}")
 
 
+def _digits(n: int) -> str:
+    """str(n) past CPython's 4300-digit limit on it, which is left unchanged."""
+    return str(Decimal(n))
+
+
 def _decimal(part, place: int) -> str:
     """The finite mpf ``part`` rounded to a multiple of 10^place.
 
@@ -81,7 +87,7 @@ def _decimal(part, place: int) -> str:
         num *= 10**-place
     else:
         den *= 10**place
-    digits = str((2 * num + den) // (2 * den))
+    digits = _digits((2 * num + den) // (2 * den))
     if digits == "0":
         return "0.0"
     lead = place + len(digits) - 1
@@ -168,7 +174,7 @@ def _compute(config: RunConfig) -> dict:
     return {
         "criterion": vars(report),
         "degree": poly.degree,
-        "coefficients": [str(c) for c in poly.coefficients],
+        "coefficients": [_digits(c) for c in poly.coefficients],
         "max_rounding_residual": poly.max_rounding_residual,
         "max_imag_residual": poly.max_imag_residual,
     }
@@ -214,7 +220,7 @@ def _json(value, indent: str, out: list[str]) -> None:
 
 
 def render_json(config: RunConfig, result: dict) -> str:
-    doc = {"schema": SCHEMA_VERSION, "config": asdict(config), "result": result}
+    doc = {"schema": SCHEMA_VERSION, "config": vars(config), "result": result}
     out: list[str] = []
     _json(doc, "\n", out)
     return "".join(out)

@@ -1,8 +1,8 @@
 """The package's two exception families; each message names the rule that fired.
 
 ``InputError`` (CLI exit code 2) rejects an argument outside the domain: a
-discriminant that is not negative, 0 or 1 mod 4 and fundamental
-(``validate_discriminant``), d in {-3, -4} (``w_group``), a level that is
+discriminant that is not an integer, negative, 0 or 1 mod 4 and fundamental
+(``Discriminant``), d in {-3, -4} (``w_group``), a level that is
 not an integer >= 2 (``exactmath.require_level``), a precision that is not
 an integer >= 2 (``exactmath.context``), a value outside the invariants of
 ``QuadIrrational``, ``QuadForm``, ``MatrixModN`` or ``FracVector`` (a

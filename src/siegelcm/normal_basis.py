@@ -113,8 +113,8 @@ def conjugates(
     power of g at the CM point of Q, carried at ``precision`` bits (with a
     fixed DEFAULT_GUARD = 64 extra working bits); beta_Q and tau, the CM
     point first rounded to precision + 64 bits, are made once per form,
-    (0, 1) alpha once per class, and the error bound is relative to g at
-    that tau.  The principal form has
+    (0, 1) alpha once per class; siegel_eval's "Rounded CM points" bounds
+    the error relative to g at the exact CM point.  The principal form has
     beta = 1, so the first record is the base value itself with vector (0, 1).
 
     Complex conjugation saves about half the evaluations.  ``_partner``
@@ -311,7 +311,7 @@ def minimal_polynomial(records: list[ConjugateRecord]) -> IntPolynomial:
 def siegel_ramachandra_invariant(
     d: Discriminant, N: int, precision: int = DEFAULT_PRECISION
 ) -> mpmath.mpc:
-    """g_{(0,1/N)}(theta)^{12N} at the standard generator theta, first
-    rounded to precision + 64 bits; the error bound is relative to that."""
+    """g_{(0,1/N)}(theta)^{12N} at the standard generator theta, rounded to
+    precision + 64 bits; siegel_eval's "Rounded CM points" bounds the error."""
     tau = to_complex(theta(d), precision + DEFAULT_GUARD)
     return siegel_power(0, 1, tau, N, "+", precision=precision, guard=DEFAULT_GUARD)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .errors import InputError
-from .exactmath import QuadIrrational, is_integral, require_integers
+from .exactmath import QuadIrrational, require_integers
 
 
 def _squarefree(n: int) -> bool:
@@ -38,6 +38,7 @@ class Discriminant:
     d: int
 
     def __post_init__(self):
+        require_integers(self, "d")
         if self.d >= 0:
             raise InputError(f"discriminant must be negative, got {self.d}")
         r = self.d % 4
@@ -54,9 +55,7 @@ class Discriminant:
 
 def validate_discriminant(d: int) -> Discriminant:
     """Check d is an integer < 0, 0 or 1 mod 4, and the squarefree conditions."""
-    if not is_integral(d):
-        raise InputError(f"discriminant must be an integer, got {d}")
-    return Discriminant(int(d))
+    return Discriminant(d)
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,9 @@ q_z = zeta^w r^v, so the n-th term of S is (-1)^n zeta^{wn} r^E with the
 integer E = N n(n-1)/2 + v n >= 0, and r^E = q^{E div N} r^{E mod N}.  S keeps
 the terms with E <= N M, about 2 sqrt(2M) of them.  E = vn mod N, so the
 r-factor of a term depends on v and its class c = n mod N alone, and w
-enters only through the twist zeta^{wc}.  So the tables keep, per v, the
-class sums D_c = r^{vc mod N} sum_{n = c mod N} (-1)^n q^{E div N} over the
-classes that some term falls in (``_class_sums``), made for the first
-vector with that v.  A vector adds them into the twist sums
+enters only through the twist zeta^{wc}.  So every vector with that v
+shares the class sums D_c = r^{vc mod N} sum_{n = c mod N} (-1)^n q^{E div N}
+over the classes that some term falls in, adds them into the twist sums
 T_j = sum_{wc = j mod N} D_c and, with zeta^j = C_j + i S_j, takes
 
     S = T_0 - T_{N/2} + sum_{0 < j < N/2} [C_j (T_j + T_{N-j}) + i S_j (T_j - T_{N-j})],
@@ -35,7 +34,8 @@ needs no exponential: x = g^e = zeta^j r^k P^e with the integers
 j = e w (v-N) / (2N) and k = e (6v^2 - 6vN + N^2) / (12N).  r^k and P^e are
 binary powers of Gaussian integers with W-bit mantissas and a binary
 exponent, and x is rounded once, to the stated precision.  k depends on v
-alone, so the tables also keep each r^|k| once it is computed.
+and e alone, so one memo per point, (v, e) -> (the D_c of v, r^|k|), keeps
+what ``_class_sums`` makes for the first vector that needs it.
 
 Error budget, with work = precision + guard bits, relative to x at the mpc
 tau ``siegel_power`` is given, rounded to work bits: an error that tau
@@ -100,6 +100,20 @@ and a = v/N.
 
 The last rounding adds at most 2^{-precision-1}, so the total relative
 error of the result is below 2^-precision.
+
+Rounded CM points.  ``normal_basis.conjugates`` and
+``siegel_ramachandra_invariant`` round the reduced CM point tau of a form
+of discriminant d to work bits (guard 64), which moves it by |delta| <=
+(1 + 2^-14) 2^-work |tau|, with |tau| <= (sqrt|d| + 1)/2.  In log x =
+2 pi i (j + k tau)/N + e log P, 2 pi |k|/N <= pi |e|/6, and d log P / d tau
+sums -2 pi i c u / (1 - u) over the factors 1 - u of P, |u| = x_q^c: the
+two with c = a and c = 1 - a add < 1/Im tau each (as e^s - 1 > s), the
+rest, c in [n, n + 1] for n >= 1, < 4 pi x_q (2 - x_q) / (1 - x_q)^3.  As
+Im tau > 0.86 and x_q < 0.0045 on the segment, |d log x / d tau| < 3 |e|,
+so x moves by at most 3.1 |e| |tau| 2^-work, relative.  With the kernel's
+(|e| + |k|) 2^{-work-1} this stays below 2^{-precision-2}, and the total
+error relative to x at tau below 2^-precision, if N (N + 50 (sqrt|d| + 1))
+< 2^63: for every N < 2^31 and |d| < 2^50.
 """
 
 from __future__ import annotations
@@ -194,15 +208,12 @@ def _div(x, y, bits: int):
 class _Tables(NamedTuple):
     """What every vector on one CM point shares; pairs are scaled by 2^bits."""
 
-    terms: int  # M
     bits: int  # W
     qpow: tuple  # q^n for n <= M
     rpow: tuple  # r^j = q^(j/N) for j <= N
-    zeta: tuple  # zeta^j for j < N, shared by every point of one (N, W)
     eta: tuple  # 1/prod_{m>=1} (1 - q^m)
     r: tuple  # r as a Gaussian float with W-bit mantissas, the base of r^k
-    rk: dict  # |k| -> r^|k|, filled as vectors need it
-    sums: dict  # v -> ((c, D_c), ...) over the classes c of S's terms, filled likewise
+    per_v: dict  # (v, e) -> (((c, D_c), ...), r^|k|), filled as vectors need it
 
 
 @functools.lru_cache(maxsize=8)
@@ -234,36 +245,29 @@ def _form_tables(tau, level: int, work: int) -> _Tables:
             a, b = qpow[n]
             re, im = (re - a, im - b) if k & 1 else (re + a, im + b)
     norm = re * re + im * im
+    eta = ((re << 2 * bits) // norm, (-im << 2 * bits) // norm)
     shift = bits - wide.mag(r)  # W-bit mantissas whatever the size of r
-    return _Tables(
-        terms=terms,
-        bits=bits,
-        qpow=qpow,
-        rpow=rpow,
-        zeta=_roots(level, bits),
-        eta=((re << 2 * bits) // norm, (-im << 2 * bits) // norm),
-        r=(*_fixed(r, shift), -shift),
-        rk={},
-        sums={},
-    )
+    return _Tables(bits=bits, qpow=qpow, rpow=rpow, eta=eta, r=(*_fixed(r, shift), -shift), per_v={})
 
 
-def _class_sums(tables: _Tables, v: int, level: int) -> tuple:
-    """(c, D_c) with D_c = r^(vc mod N) sum_{n = c mod N} (-1)^n q^(E div N).
+def _class_sums(tables: _Tables, v: int, k: int, level: int) -> tuple:
+    """((c, D_c), ...) and r^|k|, shared by every vector with this v and e.
 
-    The sum runs over the terms of S, E = N n(n-1)/2 + v n <= N M, from n = 0
-    up and n = -1 down; only the classes c that some term falls in appear.
+    D_c = r^(vc mod N) sum_{n = c mod N} (-1)^n q^(E div N) over the terms of
+    S, E = N n(n-1)/2 + v n <= N M, from n = 0 up and n = -1 down, for the
+    classes c that some term falls in.
     """
     N, W, qpow, rpow = level, tables.bits, tables.qpow, tables.rpow
-    limit, sums = N * tables.terms, {}
+    limit, sums = N * (len(qpow) - 1), {}
     for n, ex, step, dn in ((0, 0, v, 1), (-1, N - v, 2 * N - v, -1)):
         while ex <= limit:
             a, b = qpow[ex // N]
             sr, si = sums.get(n % N, (0, 0))
             sums[n % N] = (sr - a, si - b) if n & 1 else (sr + a, si + b)
             n, ex, step = n + dn, ex + step, step + N
-    # E = v n mod N, so r^(E mod N) is one factor per class
-    return tuple((c, _fmul(rpow[v * c % N], s, W) if v * c % N else s) for c, s in sums.items())
+    # E = v n mod N, so r^(E mod N) is one factor per class; rpow[0] = 2^W is exact
+    classes = tuple((c, _fmul(rpow[v * c % N], s, W)) for c, s in sums.items())
+    return classes, _pow(tables.r, abs(k), W)
 
 
 def power_exponent(level: int, exponent_sign: str = "-") -> int:
@@ -303,14 +307,17 @@ def siegel_power(
     out = context(precision)
     work = precision + int(guard)
     tables = _form_tables(context(work).mpc(tau), level, work)
-    N, W, zeta = level, tables.bits, tables.zeta
+    N, W, zeta = level, tables.bits, _roots(level, tables.bits)
+    # x = zeta^j r^k P^e; both quotients are exact for either exponent
+    k = e * (6 * v * v - 6 * v * N + N * N) // (12 * N)
+    entry = tables.per_v.get((v, e))
+    if entry is None:
+        entry = tables.per_v[v, e] = _class_sums(tables, v, k, N)
+    sums, rk = entry
 
     # S = sum_c zeta^(wc) D_c over the classes c = n mod N, with the twist
     # sums T_j = sum_{wc = j} D_c; zeta^(N-j) is the conjugate of zeta^j, so
     # zeta^j T_j + zeta^(N-j) T_(N-j) = C_j (T_j + T_(N-j)) + i S_j (T_j - T_(N-j))
-    sums = tables.sums.get(v)
-    if sums is None:
-        sums = tables.sums[v] = _class_sums(tables, v, N)
     twists = {}
     for c, (a, b) in sums:
         j = w * c % N
@@ -327,12 +334,7 @@ def siegel_power(
         si += (cj * (b + d) + sj * (a - c)) >> W
     pr, pi = _fmul((sr, si), tables.eta, W)
 
-    # x = zeta^j r^k P^e; both quotients are exact for either exponent
     j = e * w * (v - N) // (2 * N)
-    k = e * (6 * v * v - 6 * v * N + N * N) // (12 * N)
-    rk = tables.rk.get(abs(k))
-    if rk is None:
-        rk = tables.rk[abs(k)] = _pow(tables.r, abs(k), W)
     # factors of 1 (zeta^0, an empty numerator or denominator) are left out
     num = (*zeta[j % N], -W) if j % N else None
     den = None

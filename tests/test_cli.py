@@ -5,13 +5,15 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import sys
 from dataclasses import asdict
+from decimal import Decimal
 from pathlib import Path
 
 import mpmath
 import pytest
 
-from siegelcm import cli, conjugates, context, rounded, validate_discriminant
+from siegelcm import cli, conjugates, context, rounded, siegel_ramachandra_invariant, validate_discriminant
 from siegelcm.cli import RunConfig, format_complex, main, run
 from siegelcm.errors import EvaluationError, InputError
 from siegelcm.normal_basis import CriterionReport
@@ -192,9 +194,11 @@ def test_format_complex_signs():
 
 
 def _printed_parts(text, ctx):
+    # through Decimal, which reads past CPython's 4300-digit limit on int(str)
     body = text.removesuffix("i")
     k = max(i for i, c in enumerate(body) if c in "+-" and i > 0 and body[i - 1] != "e")
-    return ctx.mpf(body[:k]), ctx.mpf(body[k:])
+    ratios = (Decimal(part).as_integer_ratio() for part in (body[:k], body[k:]))
+    return tuple(ctx.mpf(num) / den for num, den in ratios)
 
 
 @pytest.mark.parametrize("d, N, p", [(-1031, 7, 256), (-56, 12, 64)])
@@ -214,6 +218,36 @@ def test_printed_digits_are_certified(d, N, p):
             assert text.endswith("+0.0i")
             real += 1
     assert real > 0
+
+
+def test_values_print_past_the_int_str_limit():
+    # 14400 bits print the real part to about 4335 digits, past the 4300 that str(int) allows
+    p = 14400
+    code, out, _ = run_cli(["invariant", "--disc", "-20", "-N", "6", "--precision", str(p)])
+    assert code == 0
+    text = json.loads(out)["result"]["value"]
+    assert sum(c.isdigit() for c in text) > 4300
+    ctx = context(2 * p)
+    z = ctx.mpc(siegel_ramachandra_invariant(validate_discriminant(-20), 6, precision=p))
+    re, im = _printed_parts(text, ctx)
+    assert abs(re - z.real) <= abs(z) * ctx.mpf(2) ** -p
+    assert abs(im - z.imag) <= abs(z) * ctx.mpf(2) ** -p
+
+
+def test_digits_match_str_past_the_limit():
+    numbers = [0] + [sign * (10 ** (k - 1) + 7**k) for k in (4301, 20000) for sign in (1, -1)]
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)  # 0: no limit
+    limit = get_limit()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        expected = [str(n) for n in numbers]
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    assert [len(text.lstrip("-")) for text in expected] == [1, 4301, 4301, 20000, 20000]
+    assert [cli._digits(n) for n in numbers] == expected
+    assert get_limit() == limit
 
 
 def test_run_config_stores_integers():

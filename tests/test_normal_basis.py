@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import pickle
 import subprocess
@@ -150,6 +151,25 @@ def test_mirrored_records_match_direct_evaluation(d, N, p):
         tau = to_complex(theta_of_form(rec.form), 2 * p + 64)
         direct = siegel_power(v, w, tau, N, "-", precision=2 * p)
         assert agreement_bits(rec.value, direct) >= p, (rec.form, v, w)
+
+
+@pytest.mark.parametrize("d, N, p", [(-20, 6, 256), (-71, 30, 256), (-1031, 7, 256), (-311, 12, 1408)])
+def test_rounding_the_cm_point_stays_within_its_bound(d, N, p):
+    # conjugates rounds theta to p + 64 bits; at the record with the least
+    # Im tau and at the base record, x there agrees with x at theta rounded
+    # to 2p + 64 bits (both to 2p bits) to p + 48 bits, and to the
+    # 3.1 |e| |tau| 2^-(p+64) of siegel_eval's "Rounded CM points"
+    records = conjugates(validate_discriminant(d), N, precision=p)
+    least = max(records, key=lambda rec: rec.form.a)  # Im tau = sqrt|d| / 2a
+    for rec in (least, records[0]):
+        point = theta_of_form(rec.form)
+        coarse, fine = (
+            siegel_power(*rec.vector.as_tuple(), to_complex(point, bits), N, precision=2 * p)
+            for bits in (p + 64, 2 * p + 64)
+        )
+        bits = agreement_bits(coarse, fine)
+        bound = p + 64 - math.log2(3.1 * abs(power_exponent(N)) * abs(complex(to_complex(point, 64))))
+        assert bits >= max(p + 48, bound - 1), (rec.form, bits - p)
 
 
 @pytest.mark.parametrize(

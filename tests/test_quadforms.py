@@ -16,6 +16,8 @@ from siegelcm import (
     validate_discriminant,
 )
 
+from siegelcm.quadforms import Discriminant
+
 from oracles import CLASS_NUMBERS, oracle_is_fundamental, oracle_reduced_forms
 
 
@@ -26,6 +28,9 @@ def test_validate_accepts_fundamental():
     # -3, -4 are fine here; only the matrix-group layer rejects them
     assert validate_discriminant(-3).d == -3
     assert validate_discriminant(-4).d == -4
+    # an integral float is stored as an int, as by every other value type
+    assert Discriminant(-20.0) == validate_discriminant(-20) and type(Discriminant(-20.0).d) is int
+    assert len(reduced_forms(Discriminant(-20.0))) == 2
 
 
 def test_validate_rejections():
@@ -46,6 +51,8 @@ def test_validate_rejections():
     for d in (float("nan"), float("-inf")):
         with pytest.raises(InputError, match="must be an integer"):
             validate_discriminant(d)
+    with pytest.raises(InputError, match="Discriminant.d must be an integer, got '-20'"):
+        Discriminant("-20")
 
 
 def test_validation_agrees_with_oracle_below_200():

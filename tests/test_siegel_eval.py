@@ -199,23 +199,25 @@ def test_values_do_not_depend_on_the_table_cache():
 
 
 def test_cached_powers_of_r_are_bit_identical():
-    # the tables keep r^|k| per v; a warm cache must give the cold bits
+    # the tables keep r^|k| per (v, e); a warm cache must give the cold bits
     d, N, p = validate_discriminant(-1031), 7, 256
     form = reduced_forms(d)[1]
     tau = to_complex(theta_of_form(form), p + 64)
-    vectors = [(v, w) for v in range(N) for w in range(N) if v or w]
+    calls = [(v, w, "-") for v in range(N) for w in range(N) if v or w] + [(0, 1, "+"), (3, 2, "+")]
 
-    def cold(v, w):
+    def cold(v, w, sign):
         siegel_eval._form_tables.cache_clear()
-        return siegel_power(v, w, tau, N, precision=p)._mpc_
+        return siegel_power(v, w, tau, N, sign, precision=p)._mpc_
 
-    fresh = [cold(v, w) for v, w in vectors]
+    fresh = [cold(*call) for call in calls]
     siegel_eval._form_tables.cache_clear()
-    warm = [siegel_power(v, w, tau, N, precision=p)._mpc_ for v, w in vectors]
+    warm = [siegel_power(v, w, tau, N, sign, precision=p)._mpc_ for v, w, sign in calls]
     assert warm == fresh
-    # k depends on v through v (N - v) alone
+    # one entry per (v, e), and k depends on v through v (N - v) alone
     tables = siegel_eval._form_tables(context(p + 64).mpc(tau), N, p + 64)
-    assert len(tables.rk) == len({v * (N - v) for v in range(N)})
+    e, plus = power_exponent(N), power_exponent(N, "+")
+    assert set(tables.per_v) == {(v, e) for v in range(N)} | {(0, plus), (3, plus)}
+    assert all(tables.per_v[v, e][1] == tables.per_v[N - v, e][1] for v in range(1, N))
 
 
 def test_roots_are_the_expjpi_ladder_and_shared_per_level_and_scale():
@@ -250,9 +252,9 @@ def test_class_sums_hold_one_entry_per_v():
     for rec in chosen:
         siegel_power(*rec.vector.as_tuple(), tau, N, precision=p)
     tables = siegel_eval._form_tables(context(p + 64).mpc(tau), N, p + 64)
-    assert set(tables.sums) == {rec.vector.v for rec in chosen}
-    for v, sums in tables.sums.items():
-        assert 0 < len(sums) <= 2 * math.isqrt(2 * tables.terms) + 3, v
+    assert set(tables.per_v) == {(rec.vector.v, power_exponent(N)) for rec in chosen}
+    for key, (sums, _) in tables.per_v.items():
+        assert 0 < len(sums) <= 2 * math.isqrt(2 * (len(tables.qpow) - 1)) + 3, key
         assert len({c for c, _ in sums}) == len(sums)
 
 
