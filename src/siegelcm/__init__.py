@@ -11,13 +11,11 @@ from .exactmath import (
     QuadIrrational,
     agreement_bits,
     context,
-    rounded,
     to_complex,
 )
 from .normal_basis import (
     check_criterion,
     conjugates,
-    least_certifying_power,
     minimal_polynomial,
     siegel_ramachandra_invariant,
 )
@@ -58,12 +56,10 @@ __all__ = [
     "conjugate_indices",
     "conjugates",
     "context",
-    "least_certifying_power",
     "minimal_polynomial",
     "power_exponent",
     "principal_form",
     "reduced_forms",
-    "rounded",
     "siegel_power",
     "siegel_ramachandra_invariant",
     "theta",

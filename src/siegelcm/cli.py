@@ -252,12 +252,9 @@ def run(config: RunConfig, stdout=None, stderr=None) -> int:
     started = time.perf_counter()
     try:
         result = _compute(config)
-    except InputError as exc:
+    except (InputError, EvaluationError) as exc:
         print(f"error: {exc}", file=stderr)
-        return 2
-    except EvaluationError as exc:
-        print(f"error: {exc}", file=stderr)
-        return 3
+        return 2 if isinstance(exc, InputError) else 3
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     render = render_json if config.format == "json" else render_text
     print(render(config, result), file=stdout)

@@ -2,14 +2,19 @@
 
 ``InputError`` (CLI exit code 2) rejects an argument outside the domain: a
 discriminant that is not an integer, negative, 0 or 1 mod 4 and fundamental
-(``Discriminant``), d in {-3, -4} (``w_group``), a level that is
-not an integer >= 2 (``exactmath.require_level``), a precision that is not
-an integer >= 2 (``exactmath.context``), a value outside the invariants of
+(``Discriminant``), one passed as anything but a ``Discriminant``, such as
+a bare int (``reduced_forms``, ``principal_form`` and all that call them),
+d in {-3, -4} (``w_group``), a level that is not an integer >= 2
+(``exactmath.require_level``), a precision that is not an integer >= 2
+(``exactmath.context``), a value outside the invariants of
 ``QuadIrrational``, ``QuadForm``, ``MatrixModN`` or ``FracVector`` (a
 non-integral field among them, ``exactmath.require_integers``) or with
-mismatched moduli, records that are not closed under complex conjugation
-(``minimal_polynomial``), and the other argument checks of
-``siegel_power``, ``normal_basis`` and the CLI's ``RunConfig``.
+mismatched moduli, an empty record list or one that repeats a (form,
+vector) pair (``check_criterion``, ``minimal_polynomial``), records that
+do not start with the base value (``check_criterion``) or are not closed
+under complex conjugation (``minimal_polynomial``), and the other
+argument checks of ``siegel_power``, ``normal_basis`` and the CLI's
+``RunConfig``.
 
 ``EvaluationError`` (CLI exit code 3) reports valid inputs whose computation
 cannot be completed: a truncation index above its cap (``siegel_power``), a

@@ -73,15 +73,6 @@ def _unpickle(bits: int, raw):
     return ctx.make_mpc(raw) if len(raw) == 2 else ctx.make_mpf(raw)
 
 
-def rounded(value, bits: int):
-    """``value`` rounded to an mpc of ``context(bits)``.
-
-    The mpc constructor rounds both parts, also of an mpc from a wider
-    context; ``ctx.fadd(z, 0)`` would round only the real part.
-    """
-    return context(bits).mpc(value)
-
-
 @dataclass(frozen=True)
 class QuadIrrational:
     """The point (p + sqrt(d))/q with d < 0, lying in the upper half-plane.
@@ -115,7 +106,9 @@ def to_complex(x: QuadIrrational, precision: int = DEFAULT_PRECISION):
     s = work.sqrt(work.mpf(-x.d))
     re = work.mpf(x.p) / x.q
     im = s / x.q
-    return rounded(work.mpc(re, im), precision)
+    # the mpc constructor rounds both parts from the wider context;
+    # ctx.fadd(z, 0) would round only the real part
+    return context(precision).mpc(re, im)
 
 
 def agreement_bits(a, b) -> float:

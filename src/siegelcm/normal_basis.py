@@ -20,7 +20,7 @@ import mpmath
 from mpmath.libmp import mpc_abs, mpf_cmp, mpf_div, to_fixed, to_float, to_rational
 
 from .errors import EvaluationError, InputError, SnapFailureError
-from .exactmath import DEFAULT_GUARD, DEFAULT_PRECISION, context, is_integral, to_complex
+from .exactmath import DEFAULT_GUARD, DEFAULT_PRECISION, context, to_complex
 from .quadforms import Discriminant, QuadForm, theta, theta_of_form
 from .reciprocity import FracVector, MatrixModN, act_vector, beta_modN, conjugate_indices
 from .siegel_eval import siegel_power
@@ -150,38 +150,33 @@ def conjugates(
 
 
 def _checked_precision(records: list[ConjugateRecord]) -> int:
-    """The records' highest precision, after the check both consumers share.
+    """The records' highest precision, after the checks both consumers share.
 
-    An empty list is a rejected argument (InputError); a zero, NaN or
-    infinite value at any index is a failed evaluation (EvaluationError).
+    An empty list, or one that repeats a (form, vector) pair, is a rejected
+    argument (InputError); a zero, NaN or infinite value at any index is a
+    failed evaluation (EvaluationError).
     """
     if not records:
         raise InputError("need at least one conjugate record")
+    if len({(r.form, r.vector) for r in records}) < len(records):
+        raise InputError("records repeat a (form, vector) pair")
     # a NaN is truthy, but isfinite rejects it
     if not all(r.value and mpmath.isfinite(r.value) for r in records):
         raise EvaluationError("a conjugate is zero or NaN, or infinite")
     return max(r.value.context.prec for r in records)
 
 
-def least_certifying_power(max_ratio, group_order: int) -> int:
-    """Least m >= 1 with max_ratio^m <= 1/group_order.
+def _least_power(ratio: Fraction, group_order: int) -> int:
+    """Least m >= 1 with ratio^m <= 1/group_order, for a ratio below 1.
 
-    ``max_ratio`` may be a float or Fraction below 1; it is converted
-    to an exact rational, so boundary cases like 0.5^3 = 1/8 are decided
+    Exact on rationals, so boundary cases like (1/2)^3 = 1/8 are decided
     without rounding.  Ratios so close to 1 that m exceeds 10^4 are decided
     by 128-bit logarithms instead (exact powers would be astronomically
     large there, and one-off minimality has no practical meaning).  A ratio
     at or below 1/group_order gives 1 before any logarithm.
     """
-    if not is_integral(group_order) or group_order < 1:
-        raise InputError(f"group order must be a positive integer, got {group_order}")
-    group_order = int(group_order)
-    try:
-        ratio = Fraction(max_ratio)
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise InputError(f"max_ratio must be a finite float or Fraction, got {max_ratio}") from exc
     if ratio >= 1:
-        raise InputError(f"max_ratio must be < 1, got {max_ratio}")
+        raise InputError(f"ratio must be < 1, got {ratio}")
     bound = Fraction(1, group_order)
     if ratio <= bound:
         return 1
@@ -203,24 +198,30 @@ def least_certifying_power(max_ratio, group_order: int) -> int:
 def check_criterion(records: list[ConjugateRecord]) -> CriterionReport:
     """Certify |x^gamma / x| < 1 over the non-identity records.
 
-    Ratios are moduli relative to the identity record (which must come
-    first): each modulus is rounded to its value's own precision and each
-    quotient to 16 bits above the records' highest, all to nearest, on
-    mpmath's raw tuples.  The maximum gets the 2^-64 safety margin before
-    the < 1 test and before the exponent search.
+    Ratios are moduli relative to the base record, which must come first
+    (identity class, principal form, vector (0, 1); else InputError), and
+    the group order is the number of records.  Each modulus is rounded to
+    its value's own precision and each quotient to 16 bits above the
+    records' highest, all to nearest, on mpmath's raw tuples.  The maximum
+    gets the 2^-64 safety margin before the < 1 test and before the
+    exponent search.
     """
     prec = _checked_precision(records) + 16
+    first = records[0]
+    # a reduced form with a = 1 is the principal form
+    if not (first.alpha.is_identity() and first.form.a == 1 and first.vector.as_tuple() == (0, 1)):
+        raise InputError("the first record must be the base: identity, principal form, (0, 1)")
 
     def modulus(rec):  # abs() at the value's own precision
         return mpc_abs(rec.value._mpc_, rec.value.context.prec, "n")
 
-    base = modulus(records[0])
+    base = modulus(first)
     # finite over finite and non-zero: every ratio is finite, so max() is exact
     ratios = [mpf_div(modulus(r), base, prec, "n") for r in records[1:]]
     raw_max = Fraction(*to_rational(max(ratios, key=cmp_to_key(mpf_cmp)))) if ratios else Fraction(0)
     margined = raw_max + RATIO_SAFETY_MARGIN
     passes = margined < 1
-    m = least_certifying_power(margined, len(records)) if passes else None
+    m = _least_power(margined, len(records)) if passes else None
     return CriterionReport(
         passes=passes,
         max_ratio=float(margined),
@@ -259,8 +260,6 @@ def minimal_polynomial(records: list[ConjugateRecord]) -> IntPolynomial:
     F = _checked_precision(records) + 64
     bound = mpmath.ldexp(1, 2 - min(r.value.context.prec for r in records))
     by_key = {(r.form.as_tuple(), r.vector): r for r in records}
-    if len(by_key) < len(records):
-        raise InputError("records repeat a (form, vector) pair")
     done, factors = set(), []
     for key, rec in by_key.items():
         if key in done:

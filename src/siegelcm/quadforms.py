@@ -58,6 +58,13 @@ def validate_discriminant(d: int) -> Discriminant:
     return Discriminant(d)
 
 
+def _disc(d: Discriminant) -> int:
+    """d.d, once d is known to be a Discriminant; else an InputError."""
+    if not isinstance(d, Discriminant):
+        raise InputError(f"d must be a Discriminant from validate_discriminant, got {d!r}")
+    return d.d
+
+
 @dataclass(frozen=True)
 class QuadForm:
     """A reduced primitive positive definite binary quadratic form (a, b, c)."""
@@ -89,13 +96,14 @@ class QuadForm:
 def reduced_forms(d: Discriminant) -> list[QuadForm]:
     """All reduced forms of discriminant d, principal form first.
 
-    The list is sorted by (a, b, c); since the principal form is the unique
-    one with a = 1, it leads.  Reduction forces a <= sqrt(|d|/3), so for
-    each a in that range we run b over (-a, a], solve 4ac = b^2 - d when it
-    divides, and keep primitive solutions satisfying the reduction
-    inequalities.  The list length is the class number h(d).
+    The loops emit the list sorted by (a, b, c), as c follows from a and
+    b; since the principal form is the unique one with a = 1, it leads.
+    Reduction forces a <= sqrt(|d|/3), so for each a in that range we run
+    b over (-a, a], solve 4ac = b^2 - d when it divides, and keep primitive
+    solutions satisfying the reduction inequalities.  The list length is
+    the class number h(d).
     """
-    disc = d.d
+    disc = _disc(d)
     out = []
     for a in range(1, isqrt(-disc // 3) + 1):
         for b in range(-a + 1, a + 1):
@@ -106,7 +114,6 @@ def reduced_forms(d: Discriminant) -> list[QuadForm]:
             if a < c or (a == c and b >= 0):
                 if gcd(gcd(a, b), c) == 1:
                     out.append(QuadForm(a, b, c))
-    out.sort(key=QuadForm.as_tuple)
     return out
 
 
@@ -115,8 +122,9 @@ def principal_form(d: Discriminant) -> QuadForm:
 
     theta is its CM point and a root of X^2 + BX + C; every form's b = B mod 2.
     """
-    B = d.d % 2
-    return QuadForm(1, B, (B - d.d) // 4)
+    disc = _disc(d)
+    B = disc % 2
+    return QuadForm(1, B, (B - disc) // 4)
 
 
 def theta_of_form(Q: QuadForm) -> QuadIrrational:

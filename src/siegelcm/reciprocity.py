@@ -165,9 +165,9 @@ def w_group(d: Discriminant, N: int) -> list[MatrixModN]:
     the class count would overstate the Galois group.
     """
     N = require_level(N)
+    _, B, C = principal_form(d).as_tuple()
     if d.d in (-3, -4):
         raise InputError(f"d = {d.d} needs extra units; index set unsupported")
-    _, B, C = principal_form(d).as_tuple()
     # each class as the smaller of its two entry tuples, as canonical() picks
     classes = set()
     for t in range(N):

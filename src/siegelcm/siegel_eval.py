@@ -334,14 +334,13 @@ def siegel_power(
         si += (cj * (b + d) + sj * (a - c)) >> W
     pr, pi = _fmul((sr, si), tables.eta, W)
 
-    j = e * w * (v - N) // (2 * N)
-    # factors of 1 (zeta^0, an empty numerator or denominator) are left out
-    num = (*zeta[j % N], -W) if j % N else None
-    den = None
+    j = e * w * (v - N) // (2 * N) % N
+    # num and den start at 1 = (1, 0, 0); _mul of W-bit mantissas by it is exact
+    num, den = (*zeta[j], -W) if j else (1, 0, 0), (1, 0, 0)
     for power, n in ((rk, k), (_pow((pr, pi, -W), abs(e), W), e)):
         if n > 0:
-            num = power if num is None else _mul(num, power, W)
+            num = _mul(num, power, W)
         else:
-            den = power if den is None else _mul(den, power, W)
-    re, im, exp = num if den is None else _div((1, 0, 0) if num is None else num, den, W)
+            den = _mul(den, power, W)
+    re, im, exp = _div(num, den, W)
     return out.make_mpc((from_man_exp(re, exp, out.prec, "n"), from_man_exp(im, exp, out.prec, "n")))

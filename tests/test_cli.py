@@ -13,7 +13,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from siegelcm import cli, conjugates, context, rounded, siegel_ramachandra_invariant, validate_discriminant
+from siegelcm import cli, conjugates, context, siegel_ramachandra_invariant, validate_discriminant
 from siegelcm.cli import RunConfig, format_complex, main, run
 from siegelcm.errors import EvaluationError, InputError
 from siegelcm.normal_basis import CriterionReport
@@ -178,19 +178,19 @@ def test_precision_flag_changes_rendering():
 
 def test_format_complex_signs():
     # at 16 bits |z| 2^-16 is about 4e-5, so the parts are rounded at 1e-5
-    plus = rounded(mpmath.mpc(1.5, 2.5), 16)
-    minus = rounded(mpmath.mpc(1.5, -2.5), 16)
+    plus = context(16).mpc(1.5, 2.5)
+    minus = context(16).mpc(1.5, -2.5)
     assert format_complex(plus) == "1.5+2.5i"
     assert format_complex(minus) == "1.5-2.5i"
     # a part below the error bound |z| 2^-p prints as 0.0, never with its sign
-    assert format_complex(rounded(mpmath.mpc(1263806.75, 3.16e-91), 256)) == "1263806.75+0.0i"
-    assert format_complex(rounded(mpmath.mpc(1263806.75, -3.16e-91), 256)) == "1263806.75+0.0i"
-    assert format_complex(rounded(mpmath.mpc(-1e-30, -5), 64)) == "0.0-5.0i"
-    assert format_complex(rounded(mpmath.mpc(2**1000, 2**900), 64)).endswith("e+301+0.0i")
+    assert format_complex(context(256).mpc(1263806.75, 3.16e-91)) == "1263806.75+0.0i"
+    assert format_complex(context(256).mpc(1263806.75, -3.16e-91)) == "1263806.75+0.0i"
+    assert format_complex(context(64).mpc(-1e-30, -5)) == "0.0-5.0i"
+    assert format_complex(context(64).mpc(2**1000, 2**900)).endswith("e+301+0.0i")
     # 0.001 rounds to 0.00099998712 at 16 bits, printed to the place 1e-8
-    assert format_complex(rounded(mpmath.mpc(0.001, 1e-9), 16)) == "0.00099999+0.0i"
+    assert format_complex(context(16).mpc(0.001, 1e-9)) == "0.00099999+0.0i"
     with pytest.raises(EvaluationError, match="non-finite"):
-        format_complex(rounded(mpmath.mpc(mpmath.nan, 1), 64))
+        format_complex(context(64).mpc(mpmath.nan, 1))
 
 
 def _printed_parts(text, ctx):

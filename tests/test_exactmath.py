@@ -10,7 +10,6 @@ from siegelcm import (
     QuadIrrational,
     agreement_bits,
     context,
-    rounded,
     to_complex,
 )
 
@@ -71,13 +70,13 @@ def test_to_complex_double_precision_consistency(prec):
 def test_rounded_rounds_both_parts():
     wide = context(512)
     z = wide.mpc(wide.mpf(1) / 3, wide.mpf(2) / 7)
-    r = rounded(z, 256)
+    r = context(256).mpc(z)
     ctx = context(256)
     assert r.context is ctx
     for part, exact in ((r.real, z.real), (r.imag, z.imag)):
         assert part._mpf_[3] <= 256  # bit count of the mantissa
         assert part == ctx.mpf(exact)
-    a = rounded(mpmath.mpc(3, 4), 128)
+    a = context(128).mpc(3, 4)
     assert abs(a) == 5
     assert mpmath.almosteq(a**2, context(128).mpc(-7, 24), rel_eps=2**-120)
 

@@ -26,11 +26,9 @@ from siegelcm import (
     conjugate_indices,
     conjugates,
     context,
-    least_certifying_power,
     minimal_polynomial,
     power_exponent,
     reduced_forms,
-    rounded,
     siegel_power,
     siegel_ramachandra_invariant,
     theta,
@@ -40,6 +38,7 @@ from siegelcm import (
     w_group,
 )
 from siegelcm import normal_basis
+from siegelcm.normal_basis import _least_power
 
 from oracles import oracle_siegel_g
 from test_siegel_eval import FROZEN_X1
@@ -137,7 +136,7 @@ def test_mirrored_records_match_the_oracle():
         tau = context(work).mpc(to_complex(theta_of_form(rec.form), work))
         with mpmath.workprec(work):
             g = oracle_siegel_g(Fraction(v, N), Fraction(w, N), tau, prec=work)
-            ref = rounded(g**e, work)
+            ref = context(work).mpc(g**e)
         assert agreement_bits(rec.value, ref) >= p, (rec.form, v, w)
 
 
@@ -215,7 +214,11 @@ def test_check_criterion_ratios_are_mpmath_quotients(d, N, p):
     assert report.ratios == tuple(float(r) for r in exact)
     margined = Fraction(*mpmath.libmp.to_rational(max(exact)._mpf_)) + normal_basis.RATIO_SAFETY_MARGIN
     assert report.max_ratio == float(margined)
-    assert report.m == least_certifying_power(margined, len(recs))
+    # m, the least m >= 1 with margined^m <= 1/#G, by an exact walk
+    m = 1
+    while margined**m * len(recs) > 1:
+        m += 1
+    assert report.m == m
 
 
 def test_check_criterion_single_record():
@@ -229,7 +232,7 @@ def test_check_criterion_single_record():
 
 
 def test_check_criterion_degenerate_value(records_20_6):
-    zero = rounded(mpmath.mpc(0), 256)
+    zero = context(256).mpc(0)
     broken = [dataclasses.replace(records_20_6[0], value=zero)] + list(records_20_6[1:])
     with pytest.raises(EvaluationError, match="zero or NaN"):
         check_criterion(broken)
@@ -238,7 +241,7 @@ def test_check_criterion_degenerate_value(records_20_6):
 def test_check_criterion_rejects_nan_and_infinite_base(records_20_6):
     # a NaN ratio would be skipped by max(), so NaN and infinite values
     # (inf / inf = NaN) must be rejected before the ratios are compared
-    nan, inf = rounded(mpmath.nan, 256), rounded(mpmath.inf, 256)
+    nan, inf = context(256).mpc(mpmath.nan), context(256).mpc(mpmath.inf)
     for k, value in ((5, nan), (0, nan), (0, inf), (5, inf)):
         recs = list(records_20_6)
         recs[k] = dataclasses.replace(recs[k], value=value)
@@ -274,45 +277,52 @@ def test_check_criterion_needs_records():
         check_criterion([])
 
 
+def test_record_lists_must_be_the_conjugate_set():
+    # without the base first, or with a record twice, the ratios or the
+    # group order (and so m) would not be those of the conjugate set
+    recs = conjugates(D20, 6, precision=128)
+    for broken in (recs[1:], recs[::-1]):
+        with pytest.raises(InputError, match="first record must be the base"):
+            check_criterion(broken)
+    twice = recs + [recs[3]]
+    for consumer in (check_criterion, minimal_polynomial):
+        with pytest.raises(InputError, match="repeat a"):
+            consumer(twice)
+    report = check_criterion(recs)
+    assert (report.passes, report.group_order, report.m) == (True, 8, 1)
+    assert minimal_polynomial(recs).coefficients == VERIFIED_POLY_20_6
+
+
 def test_least_certifying_power_exact_boundaries():
-    assert least_certifying_power(0.5, 8) == 3  # (1/2)^3 = 1/8 exactly
-    assert least_certifying_power(0.5 + 1e-12, 8) == 4  # just above the boundary
-    assert least_certifying_power(0.25, 8) == 2
-    assert least_certifying_power(1e-5, 8) == 1
-    assert least_certifying_power(0.0, 8) == 1
-    assert least_certifying_power(0.5, 1) == 1
-    assert least_certifying_power(Fraction(1, 8), 8) == 1  # at 1/#G exactly
-    assert least_certifying_power(Fraction(1, 8) + Fraction(1, 2**200), 8) == 2
-    assert least_certifying_power(Fraction(1, 2), 8) == 3
+    # floats as the exact Fractions they are, as the certificate passes them
+    F = Fraction
+    assert _least_power(F(0.5), 8) == 3  # (1/2)^3 = 1/8 exactly
+    assert _least_power(F(0.5 + 1e-12), 8) == 4  # just above the boundary
+    assert _least_power(F(0.25), 8) == 2
+    assert _least_power(F(1e-5), 8) == 1
+    assert _least_power(F(0.0), 8) == 1
+    assert _least_power(F(0.5), 1) == 1
+    assert _least_power(F(1, 8), 8) == 1  # at 1/#G exactly
+    assert _least_power(F(1, 8) + F(1, 2**200), 8) == 2
+    assert _least_power(F(1, 2), 8) == 3
     # the 128-bit estimate is 8 here, so the exact walk steps down
-    assert least_certifying_power(Fraction(1, 8), 2**21) == 7  # (1/8)^7 = 2^-21
+    assert _least_power(F(1, 8), 2**21) == 7  # (1/8)^7 = 2^-21
     # the estimate is 130 here, so the exact walk steps up
-    assert least_certifying_power(Fraction(1, 2), 2**130 + 1) == 131
+    assert _least_power(F(1, 2), 2**130 + 1) == 131
     with pytest.raises(InputError):
-        least_certifying_power(1.0, 8)
-    with pytest.raises(InputError):
-        least_certifying_power(0.5, 0)
-    for group_order in (2.5, float("nan"), float("inf")):
-        with pytest.raises(InputError):
-            least_certifying_power(0.5, group_order)
-
-
-@pytest.mark.parametrize("ratio", [mpmath.inf, mpmath.nan, float("inf"), float("nan")])
-def test_least_certifying_power_rejects_nonfinite(ratio):
-    with pytest.raises(InputError, match="finite float or Fraction"):
-        least_certifying_power(ratio, 8)
+        _least_power(F(1.0), 8)
 
 
 def test_least_certifying_power_near_one():
     # within float epsilon of 1: still finite, decided by logarithms
-    m = least_certifying_power(Fraction(2**100 - 1, 2**100), 8)
+    m = _least_power(Fraction(2**100 - 1, 2**100), 8)
     assert m > 10**4
     # sanity: m * log(ratio) <= log(1/8) up to the estimate's precision
     assert m >= 2**100 * 2  # log(8) / -log(1 - 2^-100) ~ 2.08 * 2^100
     # within 2^-128 of 1 the rounded ratio's log is 0; m must stay finite and right
     ctx = context(512)
     expected = ctx.log(8) / -ctx.log1p(-ctx.mpf(2) ** -200)
-    m = least_certifying_power(1 - Fraction(1, 2**200), 8)
+    m = _least_power(1 - Fraction(1, 2**200), 8)
     assert abs(m - expected) <= expected * ctx.mpf(2) ** -120
 
 
@@ -376,7 +386,7 @@ def test_minimal_polynomial_rejects_a_partner_off_its_bound(records_20_6, k):
     z = records[k].value
     ctx = context(p)
     shift = abs(z) * ctx.ldexp(1, 8 - p) * ctx.mpc(0, 1)
-    records[k] = dataclasses.replace(records[k], value=rounded(z + shift, p))
+    records[k] = dataclasses.replace(records[k], value=context(p).mpc(z + shift))
     with pytest.raises(EvaluationError, match="error bound"):
         minimal_polynomial(records)
 
@@ -417,7 +427,7 @@ def test_minimal_polynomial_large_coefficients_need_precision():
 
 
 def test_minimal_polynomial_snap_failure_degree_one(records_20_6):
-    half = rounded(mpmath.mpf("0.5"), 256)
+    half = context(256).mpc(mpmath.mpf("0.5"))
     fake = [dataclasses.replace(records_20_6[0], value=half)]
     with pytest.raises(SnapFailureError):
         minimal_polynomial(fake)
@@ -426,7 +436,7 @@ def test_minimal_polynomial_snap_failure_degree_one(records_20_6):
 
 
 def test_minimal_polynomial_rejects_nonfinite_values(records_20_6):
-    for value in (rounded(mpmath.nan, 256), rounded(mpmath.inf, 256)):
+    for value in (context(256).mpc(mpmath.nan), context(256).mpc(mpmath.inf)):
         recs = list(records_20_6)
         recs[3] = dataclasses.replace(recs[3], value=value)
         with pytest.raises(EvaluationError, match="zero or NaN"):

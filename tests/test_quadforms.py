@@ -9,11 +9,15 @@ import pytest
 from siegelcm import (
     InputError,
     QuadForm,
+    conjugate_indices,
+    conjugates,
     principal_form,
     reduced_forms,
+    siegel_ramachandra_invariant,
     theta,
     theta_of_form,
     validate_discriminant,
+    w_group,
 )
 
 from siegelcm.quadforms import Discriminant
@@ -84,7 +88,7 @@ def test_reduced_forms_against_oracle():
         if not oracle_is_fundamental(d):
             continue
         ours = [q.as_tuple() for q in reduced_forms(validate_discriminant(d))]
-        assert sorted(ours) == oracle_reduced_forms(d), f"mismatch at d={d}"
+        assert ours == oracle_reduced_forms(d), f"mismatch at d={d}"
 
 
 def test_emitted_forms_satisfy_all_invariants():
@@ -158,3 +162,22 @@ def test_principal_form():
         disc = validate_discriminant(d)
         assert principal_form(disc) == reduced_forms(disc)[0]
         assert theta(disc) == theta_of_form(principal_form(disc))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        (conjugates, -20, 6),
+        (conjugate_indices, -20, 6),
+        (w_group, -20, 6),
+        (reduced_forms, -20),
+        (principal_form, -20),
+        (theta, -20),
+        (siegel_ramachandra_invariant, -20, 6),
+    ],
+    ids=lambda call: call[0].__name__,
+)
+def test_bare_int_discriminant_is_an_input_error(call):
+    entry, *args = call
+    with pytest.raises(InputError, match="validate_discriminant"):
+        entry(*args)

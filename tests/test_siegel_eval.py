@@ -19,7 +19,6 @@ from siegelcm import (
     context,
     power_exponent,
     reduced_forms,
-    rounded,
     siegel_power,
     theta_of_form,
     to_complex,
@@ -29,7 +28,7 @@ from siegelcm import siegel_eval
 
 from oracles import oracle_siegel_g
 
-TAU_I = rounded(mpmath.mpc(0, 1), 320)
+TAU_I = context(320).mpc(0, 1)
 SQRT5_I = to_complex(QuadIrrational(p=0, q=2, d=-20), 320)
 
 # frozen from the 512-bit, 200-term oracle: the value at ((0, 1/6), sqrt(-5))
@@ -49,7 +48,7 @@ def test_quarter_power_of_two_value():
     # at ((0, 1/2), i) the value of g is exactly i * 2^(1/4), so its -12th
     # power is (i * 2^(1/4))^-12 = 2^-3
     val = siegel_power(0, 1, TAU_I, 2, "-", precision=256)
-    assert agreement_bits(val, rounded(mpmath.mpf(1) / 8, 256)) >= 250
+    assert agreement_bits(val, context(256).mpc(mpmath.mpf(1) / 8)) >= 250
 
 
 def test_matches_bruteforce_oracle():
@@ -64,7 +63,7 @@ def test_matches_bruteforce_oracle():
         ours = siegel_power(v, w, tau, N, "-", precision=256)
         with mpmath.workprec(512):
             ref = oracle_siegel_g(Fraction(v, N), Fraction(w, N), context(512).mpc(tau)) ** e
-        assert agreement_bits(ours, rounded(ref, 256)) >= 250
+        assert agreement_bits(ours, context(256).mpc(ref)) >= 250
 
 
 def test_matches_theta_quotient_route():
@@ -84,7 +83,7 @@ def test_matches_theta_quotient_route():
         eighth = mpmath.exp(2j * mpmath.pi * tau / 8)
         ref = (lead * 1j * mpmath.exp(1j * mpmath.pi * z) * theta1 / (eighth * mpmath.qp(q))) ** -12
     ours = siegel_power(1, 2, tau_big, 6, "-", precision=256)
-    assert agreement_bits(ours, rounded(ref, 256)) >= 245
+    assert agreement_bits(ours, context(256).mpc(ref)) >= 245
 
 
 def test_frozen_regression_constant():
@@ -178,7 +177,7 @@ def test_siegel_power_matches_oracle_on_a_whole_form(d, N, sign, p, pick, terms)
         ours = siegel_power(v, w, tau, N, sign, precision=p)
         with mpmath.workprec(2 * p):
             g = oracle_siegel_g(Fraction(v, N), Fraction(w, N), context(2 * p).mpc(tau), terms, 2 * p)
-            ref = rounded(g**e, 2 * p)
+            ref = context(2 * p).mpc(g**e)
         assert agreement_bits(ours, ref) >= p, (form, v, w)
 
 
@@ -262,12 +261,12 @@ def test_class_sums_hold_one_entry_per_v():
 def test_large_imaginary_part_keeps_the_precision(imag):
     # the exponent of r carries log2 Im tau more bits, and the budget clamps
     # Im tau from above, so neither the accuracy nor a float overflows
-    tau = rounded(mpmath.mpc("0.25", imag), 256)
+    tau = context(256).mpc(mpmath.mpc("0.25", imag))
     ours = siegel_power(0, 1, tau, 6, "-", precision=64)
     bits = 128 + int(mpmath.ceil(mpmath.log(mpmath.mpf(imag), 2))) + 64
     with mpmath.workprec(bits):
         ref = oracle_siegel_g(Fraction(0), Fraction(1, 6), context(bits).mpc(tau), 50, bits) ** -12
-        assert agreement_bits(ours, rounded(ref, bits)) >= 64
+        assert agreement_bits(ours, context(bits).mpc(ref)) >= 64
 
 
 def test_power_exponent():
@@ -285,7 +284,7 @@ def test_siegel_power_matches_oracle_power():
     ours = siegel_power(0, 1, SQRT5_I, 6, "-", precision=256)
     with mpmath.workprec(512):
         ref = oracle_siegel_g(Fraction(0), Fraction(1, 6), context(512).mpc(SQRT5_I)) ** -12
-    assert agreement_bits(ours, rounded(ref, 256)) >= 245
+    assert agreement_bits(ours, context(256).mpc(ref)) >= 245
     ctx = context(300)
     assert abs(ctx.mpc(ours) - ctx.mpf(FROZEN_X1)) < ctx.mpf(FROZEN_X1) * ctx.mpf(2) ** -240
 
@@ -311,7 +310,7 @@ def test_siegel_power_plus_sign():
     plus = siegel_power(0, 1, SQRT5_I, 6, "+", precision=256)
     with mpmath.workprec(512):
         ref = oracle_siegel_g(Fraction(0), Fraction(1, 6), context(512).mpc(SQRT5_I)) ** 72
-    assert agreement_bits(plus, rounded(ref, 256)) >= 240
+    assert agreement_bits(plus, context(256).mpc(ref)) >= 240
 
 
 def test_siegel_power_rejects_zero_vector():
@@ -322,7 +321,7 @@ def test_siegel_power_rejects_zero_vector():
 
 
 def test_params_validation():
-    low = rounded(mpmath.mpc(0, -1), 128)
+    low = context(128).mpc(0, -1)
     with pytest.raises(InputError):
         siegel_power(0, 1, low, 2, "-")
     with pytest.raises(InputError):
@@ -359,11 +358,11 @@ def test_precision_unachievable_on_tiny_imaginary_part():
         ("1e-400", r"^truncation index exceeds the cap .*Im tau = 1\.0e-400 "),
     ]
     for imag, message in cases:
-        thin = rounded(mpmath.mpc(0, imag), 256)
+        thin = context(256).mpc(mpmath.mpc(0, imag))
         with pytest.raises(EvaluationError, match=message):
             siegel_power(0, 1, thin, 2, "-")
     # Im tau = 0.01 at 64+16 bits needs M = 2319 terms, within the cap
-    low = rounded(mpmath.mpc(0, "0.01"), 256)
+    low = context(256).mpc(mpmath.mpc(0, "0.01"))
     val = siegel_power(0, 1, low, 2, "-", precision=64, guard=16)
     assert abs(val) > 0
 
