@@ -1,16 +1,14 @@
 """Command-line front end: argument parsing, reports, exit codes.
 
-One parser takes the subcommand and the flags ``--disc``, ``-N/--level``,
-``--precision`` and ``--format``; ``build_parser`` builds it once per
-process and every ``main`` call reuses it.  The numeric policy is fixed
-in the library: 64 guard bits during evaluation and a snap tolerance of
-1e-10.
+One parser takes the subcommand and the flags ``--disc``, ``-N/--level``
+and ``--precision``; ``build_parser`` builds it once per process and
+every ``main`` call reuses it.  The numeric policy is fixed in the
+library: 64 guard bits during evaluation and a snap tolerance of 1e-10.
 
 Exit codes: 0 success, 2 rejected input (``InputError``), 3 evaluation
 failure (``EvaluationError``); ``errors`` lists what raises each.
-Reports go to stdout as JSON (default) or text; both carry the same
-numbers.  ``render_json`` writes exactly the bytes of
-``json.dumps(doc, indent=2)`` without its pure-Python indent encoder.
+The report goes to stdout as one line of JSON, written by ``json.dumps``
+without indent (CPython's C encoder).
 High-precision values are rendered as decimal strings holding only
 certified digits (``format_complex``), at any length (``_digits``).
 Output for a fixed configuration is byte-identical across runs; the
@@ -26,7 +24,6 @@ import sys
 import time
 from dataclasses import dataclass
 from decimal import Decimal
-from json.encoder import encode_basestring_ascii
 from math import floor, log10
 
 from .errors import EvaluationError, InputError
@@ -41,7 +38,7 @@ from .normal_basis import (
 )
 from .quadforms import reduced_forms, theta_of_form, validate_discriminant
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 SUBCOMMANDS = ("forms", "conjugates", "normal-basis", "minpoly", "invariant")
 MIN_PRECISION = 64
 
@@ -52,7 +49,6 @@ class RunConfig:
     disc: int
     level: int | None
     precision: int = DEFAULT_PRECISION
-    format: str = "json"
 
     def __post_init__(self):
         if self.subcommand not in SUBCOMMANDS:
@@ -65,8 +61,6 @@ class RunConfig:
             require_integers(self, "level")
         elif self.subcommand != "forms":
             raise InputError("level must be an integer >= 2")
-        if self.format not in ("json", "text"):
-            raise InputError(f"unknown format {self.format!r}")
 
 
 def _digits(n: int) -> str:
@@ -127,11 +121,7 @@ def _conjugate_rows(records: list[ConjugateRecord]) -> list[dict]:
         alpha, point = rec.alpha, points[rec.form]
         rows.append(
             {
-                "alpha": {
-                    "t": alpha.m22,
-                    "s": alpha.m21,
-                    "matrix": [[alpha.m11, alpha.m12], [alpha.m21, alpha.m22]],
-                },
+                "alpha": [[alpha.m11, alpha.m12], [alpha.m21, alpha.m22]],
                 "form": list(rec.form.as_tuple()),
                 "vector": list(rec.vector.as_tuple()),
                 "point": {"p": point.p, "q": point.q, "d": point.d},
@@ -180,69 +170,9 @@ def _compute(config: RunConfig) -> dict:
     }
 
 
-_CONSTANTS = {None: "null", True: "true", False: "false"}
-_float_json = json.JSONEncoder().encode  # repr, NaN, Infinity, -Infinity
-
-
-def _json(value, indent: str, out: list[str]) -> None:
-    """Append ``value`` to ``out`` as ``json.dumps(value, indent=2)`` writes it.
-
-    json.dumps takes CPython's C encoder only when indent is None; this
-    writes the same bytes for str-keyed dicts, lists, tuples, str, int,
-    float, bool and None, and raises TypeError on any other type.
-    ``indent`` is a newline and the current indentation.
-    """
-    if isinstance(value, str):
-        out.append(encode_basestring_ascii(value))
-    elif value is None or value is True or value is False:
-        out.append(_CONSTANTS[value])
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
-    elif isinstance(value, float):
-        out.append(_float_json(value))
-    elif isinstance(value, dict):
-        inner, sep = indent + "  ", "{"
-        for key, item in value.items():
-            # encode_basestring_ascii raises TypeError on a key that is not a str
-            out += sep, inner, encode_basestring_ascii(key), ": "
-            _json(item, inner, out)
-            sep = ","
-        out.append(indent + "}" if value else "{}")
-    elif isinstance(value, (list, tuple)):
-        inner, sep = indent + "  ", "["
-        for item in value:
-            out += sep, inner
-            _json(item, inner, out)
-            sep = ","
-        out.append(indent + "]" if value else "[]")
-    else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
 def render_json(config: RunConfig, result: dict) -> str:
-    doc = {"schema": SCHEMA_VERSION, "config": vars(config), "result": result}
-    out: list[str] = []
-    _json(doc, "\n", out)
-    return "".join(out)
-
-
-def _text_lines(prefix: str, value, out: list[str]):
-    if isinstance(value, dict):
-        for k, v in value.items():
-            _text_lines(f"{prefix}{k}.", v, out)
-    elif isinstance(value, (list, tuple)) and value and isinstance(value[0], (dict, list)):
-        for i, v in enumerate(value):
-            _text_lines(f"{prefix}{i}.", v, out)
-    elif isinstance(value, (list, tuple)):
-        out.append(f"{prefix[:-1]}: {' '.join(str(v) for v in value)}")
-    else:
-        out.append(f"{prefix[:-1]}: {value}")
-
-
-def render_text(config: RunConfig, result: dict) -> str:
-    lines = [f"subcommand: {config.subcommand}"]
-    _text_lines("", result, lines)
-    return "\n".join(lines)
+    """The report: schema, config and result as one line of compact JSON."""
+    return json.dumps({"schema": SCHEMA_VERSION, "config": vars(config), "result": result})
 
 
 def run(config: RunConfig, stdout=None, stderr=None) -> int:
@@ -256,8 +186,7 @@ def run(config: RunConfig, stdout=None, stderr=None) -> int:
         print(f"error: {exc}", file=stderr)
         return 2 if isinstance(exc, InputError) else 3
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    render = render_json if config.format == "json" else render_text
-    print(render(config, result), file=stdout)
+    print(render_json(config, result), file=stdout)
     print(f"elapsed_ms={elapsed_ms:.3f}", file=stderr)
     return 0
 
@@ -279,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="level N >= 2 of the ray class field (not used by forms)")
     parser.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
                         help="working precision in bits (default 256)")
-    parser.add_argument("--format", choices=("json", "text"), default="json")
     return parser
 
 

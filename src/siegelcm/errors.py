@@ -11,10 +11,10 @@ d in {-3, -4} (``w_group``), a level that is not an integer >= 2
 non-integral field among them, ``exactmath.require_integers``) or with
 mismatched moduli, an empty record list or one that repeats a (form,
 vector) pair (``check_criterion``, ``minimal_polynomial``), records that
-do not start with the base value (``check_criterion``) or are not closed
-under complex conjugation (``minimal_polynomial``), and the other
-argument checks of ``siegel_power``, ``normal_basis`` and the CLI's
-``RunConfig``.
+do not start with the base value or whose count is not h(d) #W/{+-1}
+(``check_criterion``) or are not closed under complex conjugation
+(``minimal_polynomial``), and the other argument checks of
+``siegel_power``, ``normal_basis`` and the CLI's ``RunConfig``.
 
 ``EvaluationError`` (CLI exit code 3) reports valid inputs whose computation
 cannot be completed: a truncation index above its cap (``siegel_power``), a

@@ -21,8 +21,8 @@ from mpmath.libmp import mpc_abs, mpf_cmp, mpf_div, to_fixed, to_float, to_ratio
 
 from .errors import EvaluationError, InputError, SnapFailureError
 from .exactmath import DEFAULT_GUARD, DEFAULT_PRECISION, context, to_complex
-from .quadforms import Discriminant, QuadForm, theta, theta_of_form
-from .reciprocity import FracVector, MatrixModN, act_vector, beta_modN, conjugate_indices
+from .quadforms import Discriminant, QuadForm, reduced_forms, theta, theta_of_form
+from .reciprocity import FracVector, MatrixModN, _w_order, act_vector, beta_modN, conjugate_indices
 from .siegel_eval import siegel_power
 
 # Added to the observed maximum ratio before both certificate comparisons,
@@ -199,10 +199,11 @@ def check_criterion(records: list[ConjugateRecord]) -> CriterionReport:
     """Certify |x^gamma / x| < 1 over the non-identity records.
 
     Ratios are moduli relative to the base record, which must come first
-    (identity class, principal form, vector (0, 1); else InputError), and
-    the group order is the number of records.  Each modulus is rounded to
-    its value's own precision and each quotient to 16 bits above the
-    records' highest, all to nearest, on mpmath's raw tuples.  The maximum
+    (identity class, principal form, vector (0, 1); else InputError).  The
+    group order #G = h(d) #W/{+-1} comes from d and N of the base record,
+    and a list of any other length is an InputError.  Each modulus is
+    rounded to its value's own precision and each quotient to 16 bits above
+    the records' highest, all to nearest, on mpmath's raw tuples.  The maximum
     gets the 2^-64 safety margin before the < 1 test and before the
     exponent search.
     """
@@ -211,6 +212,10 @@ def check_criterion(records: list[ConjugateRecord]) -> CriterionReport:
     # a reduced form with a = 1 is the principal form
     if not (first.alpha.is_identity() and first.form.a == 1 and first.vector.as_tuple() == (0, 1)):
         raise InputError("the first record must be the base: identity, principal form, (0, 1)")
+    d = Discriminant(first.form.discriminant)
+    group_order = len(reduced_forms(d)) * _w_order(d, first.vector.modulus)
+    if len(records) != group_order:
+        raise InputError(f"got {len(records)} records, but the conjugate set has {group_order}")
 
     def modulus(rec):  # abs() at the value's own precision
         return mpc_abs(rec.value._mpc_, rec.value.context.prec, "n")
@@ -221,12 +226,12 @@ def check_criterion(records: list[ConjugateRecord]) -> CriterionReport:
     raw_max = Fraction(*to_rational(max(ratios, key=cmp_to_key(mpf_cmp)))) if ratios else Fraction(0)
     margined = raw_max + RATIO_SAFETY_MARGIN
     passes = margined < 1
-    m = _least_power(margined, len(records)) if passes else None
+    m = _least_power(margined, group_order) if passes else None
     return CriterionReport(
         passes=passes,
         max_ratio=float(margined),
         m=m,
-        group_order=len(records),
+        group_order=group_order,
         ratios=tuple(to_float(r, rnd="n") for r in ratios),
     )
 

@@ -288,6 +288,9 @@ def test_record_lists_must_be_the_conjugate_set():
     for consumer in (check_criterion, minimal_polynomial):
         with pytest.raises(InputError, match="repeat a"):
             consumer(twice)
+    # the base form's four records alone: #G is h(-20) #W/{+-1} = 2 * 4 = 8, not 4
+    with pytest.raises(InputError, match="got 4 records, but the conjugate set has 8"):
+        check_criterion(recs[:4])
     report = check_criterion(recs)
     assert (report.passes, report.group_order, report.m) == (True, 8, 1)
     assert minimal_polynomial(recs).coefficients == VERIFIED_POLY_20_6

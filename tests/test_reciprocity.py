@@ -21,6 +21,7 @@ from siegelcm import (
     validate_discriminant,
     w_group,
 )
+from siegelcm.reciprocity import _w_order
 
 from oracles import CLASS_NUMBERS
 
@@ -166,7 +167,8 @@ def _kronecker(d: int, p: int) -> int:
 def test_w_group_matches_canonical_matrices_and_the_closed_form():
     # against a reference set made with MatrixModN.make(...).canonical() for
     # every unit (t, s), and against #W/{+-1} = phi_K(N)/2 for N > 2 and
-    # phi_K(2) for N = 2, phi_K(N) = N^2 prod_{p | N} (1 - 1/p)(1 - chi_d(p)/p)
+    # phi_K(2) for N = 2, phi_K(N) = N^2 prod_{p | N} (1 - 1/p)(1 - chi_d(p)/p),
+    # which the library's _w_order computes by counting roots mod p instead
     for d_int in (-7, -8, -15, -20, -23, -24, -31, -39, -40, -55, -56, -71):
         d = validate_discriminant(d_int)
         _, b, c = principal_form(d).as_tuple()
@@ -184,7 +186,7 @@ def test_w_group_matches_canonical_matrices_and_the_closed_form():
             phi = N * N
             for p in {p for p in range(2, N + 1) if N % p == 0 and all(p % q for q in range(2, p))}:
                 phi = phi * (p - 1) * (p - _kronecker(d_int, p)) // (p * p)
-            assert len(group) == (phi if N == 2 else phi // 2), (d_int, N)
+            assert len(group) == (phi if N == 2 else phi // 2) == _w_order(d, N), (d_int, N)
 
 
 def test_w_elements_have_w_shape_and_unit_det():
