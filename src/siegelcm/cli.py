@@ -24,11 +24,19 @@ import sys
 import time
 from dataclasses import dataclass
 from decimal import Decimal
-from math import floor, log10
+from math import floor, log2, log10
+
+from mpmath.libmp import ften, mpf_div, mpf_mul, mpf_pow_int
 
 from .errors import EvaluationError, InputError
 # context is imported for its cache statistics, which the benchmark reads
-from .exactmath import DEFAULT_PRECISION, context, require_integers, require_level  # noqa: F401
+from .exactmath import (  # noqa: F401
+    DEFAULT_PRECISION,
+    conjugate_key,
+    context,
+    require_integers,
+    require_level,
+)
 from .normal_basis import (
     ConjugateRecord,
     check_criterion,
@@ -68,6 +76,47 @@ def _digits(n: int) -> str:
     return str(Decimal(n))
 
 
+def _rounded(man: int, exp: int, bc: int, place: int) -> int:
+    """man 2^exp / 10^place rounded to an integer, halves up, for man >= 0.
+
+    Exact integers of up to |exp| + |place| log2(10) bits decide, unless
+    those are above 32 times bc + 64 bits, where they cost more than two
+    bounds on the quotient at 64 bits above the larger of bc and its bit
+    length.  mpf_pow_int, mpf_mul and mpf_div rounded down ('f') and up
+    ('c') keep the bounds rigorous; when both round to one integer, that is
+    the result, and when they round apart (a tie, or a quotient within
+    about 2^-64 of a half-integer), the exact integers decide.  So a huge |exp| or
+    |place| costs time in the digits printed, not in its own size.
+    """
+    if abs(exp) + 4 * abs(place) > 32 * (bc + 64):
+        bits = max(bc, bc + exp - floor(place * log2(10))) + 64
+        part = (0, man, exp, bc)
+        lo, hi = (mpf_pow_int(ften, abs(place), bits, rnd) for rnd in "fc")  # 10^|place|
+        if place < 0:
+            bounds = mpf_mul(part, lo, bits, "f"), mpf_mul(part, hi, bits, "c")
+        else:
+            bounds = mpf_div(part, hi, bits, "f"), mpf_div(part, lo, bits, "c")
+        low, high = (_half_up(bound) for bound in bounds)
+        if low == high:
+            return low
+    num, den = man << max(exp, 0), 1 << max(-exp, 0)
+    if place < 0:
+        num *= 10**-place
+    else:
+        den *= 10**place
+    return (2 * num + den) // (2 * den)
+
+
+def _half_up(x) -> int:
+    """floor(x + 1/2) for a raw mpf x >= 0; 0 below 1/2 without a shift."""
+    _, man, exp, bc = x
+    if exp >= 0:
+        return man << exp
+    if bc + exp < 0:
+        return 0
+    return (man + (1 << (-exp - 1))) >> -exp
+
+
 def _decimal(part, place: int) -> str:
     """The finite mpf ``part`` rounded to a multiple of 10^place.
 
@@ -75,13 +124,8 @@ def _decimal(part, place: int) -> str:
     (-5, digit count), else d.ddde+X; trailing zeros are stripped, and a
     part that rounds to zero is "0.0", without a sign.
     """
-    sign, man, exp, _ = part._mpf_
-    num, den = man << max(exp, 0), 1 << max(-exp, 0)
-    if place < 0:
-        num *= 10**-place
-    else:
-        den *= 10**place
-    digits = _digits((2 * num + den) // (2 * den))
+    sign, man, exp, bc = part._mpf_
+    digits = _digits(_rounded(man, exp, bc, place))
     if digits == "0":
         return "0.0"
     lead = place + len(digits) - 1
@@ -114,18 +158,42 @@ def format_complex(z) -> str:
     return f"{_decimal(z.real, place)}{'' if im[0] == '-' else '+'}{im}i"
 
 
+def _conjugate_text(text: str) -> str:
+    """format_complex's text of conj(z), from its text of z.
+
+    The imaginary part is printed unsigned after the sign that joins it to
+    the real part, so the only other sign in it is its exponent's, right
+    after an "e"; a part printed as 0.0 keeps its "+".
+    """
+    body = text[:-1]
+    cut = max(body.rfind("+"), body.rfind("-"))
+    if body[cut - 1] == "e":
+        cut = max(body.rfind("+", 0, cut - 1), body.rfind("-", 0, cut - 1))
+    imag = body[cut + 1 :]
+    if imag == "0.0":
+        return text
+    return f"{body[:cut]}{'-' if body[cut] == '+' else '+'}{imag}i"
+
+
 def _conjugate_rows(records: list[ConjugateRecord]) -> list[dict]:
     points = {form: theta_of_form(form) for form in {rec.form for rec in records}}
+    # format_complex once per conjugate_key; a value and its conjugate differ in one sign
+    texts = {}
     rows = []
     for rec in records:
-        alpha, point = rec.alpha, points[rec.form]
+        alpha, point, value = rec.alpha, points[rec.form], rec.value
+        sign, key = value._mpc_[1][0], conjugate_key(value)
+        seen = texts.get(key)
+        if seen is None:
+            seen = texts[key] = (sign, format_complex(value))
+        text = seen[1] if seen[0] == sign else _conjugate_text(seen[1])
         rows.append(
             {
                 "alpha": [[alpha.m11, alpha.m12], [alpha.m21, alpha.m22]],
                 "form": list(rec.form.as_tuple()),
                 "vector": list(rec.vector.as_tuple()),
                 "point": {"p": point.p, "q": point.q, "d": point.d},
-                "value": format_complex(rec.value),
+                "value": text,
             }
         )
     return rows

@@ -111,6 +111,17 @@ def to_complex(x: QuadIrrational, precision: int = DEFAULT_PRECISION):
     return context(precision).mpc(re, im)
 
 
+def conjugate_key(z) -> tuple:
+    """A key that the mpc z and its conjugate share, and no other value.
+
+    The raw real part, the raw imaginary part without its sign, and the
+    precision: whatever depends on z only up to the sign of Im z (|z|, or
+    the digits of both parts) is the same for every value with this key.
+    """
+    re, im = z._mpc_
+    return re, im[1:], z.context.prec
+
+
 def agreement_bits(a, b) -> float:
     """Bits of relative agreement between two values (inf if identical).
 

@@ -20,7 +20,7 @@ import mpmath
 from mpmath.libmp import mpc_abs, mpf_cmp, mpf_div, to_fixed, to_float, to_rational
 
 from .errors import EvaluationError, InputError, SnapFailureError
-from .exactmath import DEFAULT_GUARD, DEFAULT_PRECISION, context, to_complex
+from .exactmath import DEFAULT_GUARD, DEFAULT_PRECISION, conjugate_key, context, to_complex
 from .quadforms import Discriminant, QuadForm, reduced_forms, theta, theta_of_form
 from .reciprocity import FracVector, MatrixModN, _w_order, act_vector, beta_modN, conjugate_indices
 from .siegel_eval import siegel_power
@@ -203,9 +203,11 @@ def check_criterion(records: list[ConjugateRecord]) -> CriterionReport:
     group order #G = h(d) #W/{+-1} comes from d and N of the base record,
     and a list of any other length is an InputError.  Each modulus is
     rounded to its value's own precision and each quotient to 16 bits above
-    the records' highest, all to nearest, on mpmath's raw tuples.  The maximum
-    gets the 2^-64 safety margin before the < 1 test and before the
-    exponent search.
+    the records' highest, all to nearest, on mpmath's raw tuples.  A value
+    and its conjugate have one ``conjugate_key`` and share one modulus and
+    quotient, which see Im z only through its square.  The maximum gets
+    the 2^-64 safety margin before the < 1 test and before the exponent
+    search.
     """
     prec = _checked_precision(records) + 16
     first = records[0]
@@ -217,13 +219,22 @@ def check_criterion(records: list[ConjugateRecord]) -> CriterionReport:
     if len(records) != group_order:
         raise InputError(f"got {len(records)} records, but the conjugate set has {group_order}")
 
-    def modulus(rec):  # abs() at the value's own precision
-        return mpc_abs(rec.value._mpc_, rec.value.context.prec, "n")
+    def modulus(value):  # abs() at the value's own precision
+        return mpc_abs(value._mpc_, value.context.prec, "n")
 
-    base = modulus(first)
+    base = modulus(first.value)
+    # conj(z) has the modulus of z: one quotient per conjugate_key
+    shared, ratios = {}, []
+    for rec in records[1:]:
+        key = conjugate_key(rec.value)
+        pair = shared.get(key)
+        if pair is None:
+            ratio = mpf_div(modulus(rec.value), base, prec, "n")
+            pair = shared[key] = (ratio, to_float(ratio, rnd="n"))
+        ratios.append(pair[1])
     # finite over finite and non-zero: every ratio is finite, so max() is exact
-    ratios = [mpf_div(modulus(r), base, prec, "n") for r in records[1:]]
-    raw_max = Fraction(*to_rational(max(ratios, key=cmp_to_key(mpf_cmp)))) if ratios else Fraction(0)
+    exact = [ratio for ratio, _ in shared.values()]
+    raw_max = Fraction(*to_rational(max(exact, key=cmp_to_key(mpf_cmp)))) if exact else Fraction(0)
     margined = raw_max + RATIO_SAFETY_MARGIN
     passes = margined < 1
     m = _least_power(margined, group_order) if passes else None
@@ -232,7 +243,7 @@ def check_criterion(records: list[ConjugateRecord]) -> CriterionReport:
         max_ratio=float(margined),
         m=m,
         group_order=group_order,
-        ratios=tuple(to_float(r, rnd="n") for r in ratios),
+        ratios=tuple(ratios),
     )
 
 

@@ -29,13 +29,19 @@ Everything runs in Gaussian integers scaled by 2^W, from tables of q^n
 (n <= M), r^j (j <= N) and 1/eta (Euler's pentagonal series, then one
 division) that one exp per CM point builds and ``_form_tables`` memoizes,
 and of zeta^j, which one expjpi builds per (N, W) and ``_roots`` memoizes.
+``_form_tables`` is keyed on the raw tuple of tau rounded to precision +
+guard bits (``mpc_pos``), so a tau given at more bits reaches the entry
+of its rounding, and a call builds and hashes no mpc to find its entry.
 Both exponents e (-12N/gcd(6, N), and +12N) are even, so the lead factor
 needs no exponential: x = g^e = zeta^j r^k P^e with the integers
 j = e w (v-N) / (2N) and k = e (6v^2 - 6vN + N^2) / (12N).  r^k and P^e are
 binary powers of Gaussian integers with W-bit mantissas and a binary
-exponent, and x is rounded once, to the stated precision.  k depends on v
-and e alone, so one memo per point, (v, e) -> (the D_c of v, r^|k|), keeps
-what ``_class_sums`` makes for the first vector that needs it.
+exponent, whose squares take (a + b)(a - b) and 2ab, the two integers
+that the general product forms for a + bi times itself, in two products
+instead of four; x is rounded once, to the stated precision.  k depends
+on v and e alone, so one memo per point, (v, e) -> (the D_c of v,
+r^|k|), keeps what ``_class_sums`` makes for the first vector that needs
+it.
 
 Error budget, with work = precision + guard bits, relative to x at the mpc
 tau ``siegel_power`` is given, rounded to work bits: an error that tau
@@ -123,7 +129,7 @@ import math
 from math import gcd
 from typing import NamedTuple
 
-from mpmath.libmp import from_man_exp, to_fixed
+from mpmath.libmp import from_man_exp, mpc_pos, to_fixed
 
 from .errors import EvaluationError, InputError
 from .exactmath import DEFAULT_GUARD, DEFAULT_PRECISION, context, is_integral, require_level
@@ -177,21 +183,31 @@ def _ladder(base, count: int, bits: int) -> tuple[tuple[int, int], ...]:
 
 def _mul(x, y, bits: int):
     (a, b, s), (c, d, t) = x, y
-    re, im = a * c - b * d, a * d + b * c
+    return _cut(a * c - b * d, a * d + b * c, s + t, bits)
+
+
+def _square(x, bits: int):
+    """_mul(x, x, bits): (a + b)(a - b) and 2ab are the same two integers."""
+    a, b, s = x
+    return _cut((a + b) * (a - b), 2 * a * b, 2 * s, bits)
+
+
+def _cut(re: int, im: int, s: int, bits: int):
+    """(re + im i) 2^s with both parts cut to at most `bits` bits."""
     drop = max(abs(re).bit_length(), abs(im).bit_length()) - bits
     if drop > 0:
-        return re >> drop, im >> drop, s + t + drop
-    return re, im, s + t
+        return re >> drop, im >> drop, s + drop
+    return re, im, s
 
 
 def _pow(x, n: int, bits: int):
     """x^n for an integer n >= 1, by binary powering."""
     while not n & 1:
-        x = _mul(x, x, bits)
+        x = _square(x, bits)
         n >>= 1
     acc = x
     while n := n >> 1:
-        x = _mul(x, x, bits)
+        x = _square(x, bits)
         if n & 1:
             acc = _mul(acc, x, bits)
     return acc
@@ -227,8 +243,9 @@ def _roots(level: int, bits: int) -> tuple:
 # together, and each entry's class sums serve every vector of its form;
 # more would only carry tables from one request to the next.
 @functools.lru_cache(maxsize=4)
-def _form_tables(tau, level: int, work: int) -> _Tables:
-    """The tables of the point tau, an mpc at work bits."""
+def _form_tables(point: tuple, level: int, work: int) -> _Tables:
+    """The tables of the point tau, given as the raw tuple of an mpc at work bits."""
+    tau = context(work).make_mpc(point)
     terms, bits = _budget(tau, level, work)
     # at least W bits, rounded up so that few contexts are ever made
     wide = context(-(-bits // 64) * 64)
@@ -293,7 +310,8 @@ def siegel_power(
     (v, w) may be any integers (or integral values) not congruent to
     (0, 0) mod N; they are reduced into [0,1)^2 before evaluating.  Both exponents make the result
     depend only on the class of +-(v/N, w/N) mod Z^2, which is what allows
-    labelling conjugates by canonical vectors.
+    labelling conjugates by canonical vectors.  tau, an mpc or a complex in
+    the upper half-plane, is rounded to precision + guard bits before use.
     """
     level = require_level(level)
     if not (is_integral(v) and is_integral(w)) or (v % level == 0 and w % level == 0):
@@ -306,7 +324,8 @@ def siegel_power(
     e = power_exponent(level, exponent_sign)
     out = context(precision)
     work = precision + int(guard)
-    tables = _form_tables(context(work).mpc(tau), level, work)
+    point = tau._mpc_ if hasattr(tau, "_mpc_") else context(work).mpc(tau)._mpc_  # a complex has none
+    tables = _form_tables(mpc_pos(point, work, "n"), level, work)
     N, W, zeta = level, tables.bits, _roots(level, tables.bits)
     # x = zeta^j r^k P^e; both quotients are exact for either exponent
     k = e * (6 * v * v - 6 * v * N + N * N) // (12 * N)

@@ -5,13 +5,17 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import random
 import sys
 from dataclasses import asdict
 from decimal import Decimal
+from fractions import Fraction
+from math import floor, log10
 from pathlib import Path
 
 import mpmath
 import pytest
+from mpmath.libmp import mpf_pow_int
 
 from siegelcm import cli, conjugates, context, siegel_ramachandra_invariant, validate_discriminant
 from siegelcm.cli import RunConfig, format_complex, main, run
@@ -185,6 +189,77 @@ def test_format_complex_signs():
         format_complex(context(64).mpc(mpmath.nan, 1))
 
 
+def _exact_rounded(man, exp, place):
+    # the quotient man 2^exp / 10^place in exact integers, rounded halves up
+    num, den = man * 2 ** max(exp, 0) * 10 ** max(-place, 0), 2 ** max(-exp, 0) * 10 ** max(place, 0)
+    return (2 * num + den) // (2 * den)
+
+
+def test_rounded_matches_exact_integers(monkeypatch):
+    # seeded sweep over both signs of exp and place, small (exact integers)
+    # and large (bounds first), quotients below 1, near ties and exact ties:
+    # for exp = place - 1 and man = (2k + 1) 5^max(place, 0) the quotient is
+    # (2k + 1) 5^|place| / 2
+    bounded = []
+    monkeypatch.setattr(cli, "mpf_pow_int", lambda *args: bounded.append(args) or mpf_pow_int(*args))
+    rng = random.Random(20261019)
+    cases = [(0, 0, place) for place in (-40, 0, 40, -20000, 20000)]
+    for size in (500, 60000):
+        for _ in range(150):
+            man = rng.getrandbits(rng.randint(1, 300)) | 1
+            exp = rng.randint(-size, size)
+            top = floor((exp + man.bit_length()) * log10(2))  # as format_complex places it, or one above
+            cases += [(man, exp, top - rng.randint(0, 90)), (man, exp, top + 1)]
+            cases.append((man, exp, rng.randint(-size // 3, size // 3)))
+    for _ in range(60):
+        # near ties: man 5^a 2^-150 = K + 1/2 +- 2^-150 at place -a, and
+        # man 2^(t+p-1) / 10^p = K + 1/2 +- 1/(2 5^p) with 2K + 1 = -+5^-p
+        # mod 2^t; a bound that rounds onto the half leaves them to the
+        # exact integers
+        a, p, t = rng.randint(2000, 6000), rng.randint(30, 100), rng.randint(9000, 11000)
+        s = rng.choice((-1, 1))
+        low = ((1 << 149) + s) * pow(5**a, -1, 1 << 150) % (1 << 150)
+        cases.append((low + (rng.getrandbits(20) << 150), -150 - a, -a))
+        odd = -s * pow(5**p, -1, 1 << t) % (1 << t)
+        cases.append(((odd * 5**p + s) >> t, t + p - 1, p))
+    ties = []
+    for size in (60, 20000):
+        for _ in range(100):
+            place, odd = rng.randint(-size, 60), 2 * rng.getrandbits(rng.randint(1, 200)) + 1
+            ties.append((odd * 5 ** max(place, 0), place - 1, place))
+    for man, exp, place in cases + ties:
+        want = _exact_rounded(man, exp, place)
+        assert cli._rounded(man, exp, man.bit_length(), place) == want, (man, exp, place)
+    for man, exp, place in ties:
+        twice = 2 * Fraction(man) * Fraction(2) ** exp / Fraction(10) ** place
+        assert twice.denominator == 1 and twice.numerator % 2 == 1
+    assert len(bounded) > 200  # both paths ran
+
+
+def test_conjugate_text_flips_the_imaginary_sign():
+    # exponents on either part, negative real parts, imaginary parts that
+    # print as 0.0: the text of conj(z) is format_complex's own
+    rng = random.Random(7)
+    for _ in range(400):
+        ctx = context(rng.choice((16, 53, 64, 256)))
+        re, im = (rng.choice((-1, 1)) * rng.random() * 10.0 ** rng.randint(-40, 40) for _ in range(2))
+        z = ctx.mpc(re, im)
+        text = format_complex(z)
+        assert cli._conjugate_text(text) == format_complex(z.conjugate()), text
+        assert cli._conjugate_text(cli._conjugate_text(text)) == text
+
+
+@pytest.mark.parametrize("d, N, p", [(-56, 12, 64), (-71, 30, 256), (-1031, 7, 256)])
+def test_conjugate_rows_print_format_complex_of_every_record(d, N, p):
+    # rows render once per conjugate pair and flip the sign for the partner;
+    # each row must still read format_complex of its own record
+    records = conjugates(validate_discriminant(d), N, precision=p)
+    texts = [row["value"] for row in cli._conjugate_rows(records)]
+    assert texts == [format_complex(rec.value) for rec in records]
+    assert any(rec.value.imag < 0 for rec in records)
+    assert any(text.endswith("+0.0i") for text in texts)  # real values, on self-partnered forms
+
+
 def _printed_parts(text, ctx):
     # through Decimal, which reads past CPython's 4300-digit limit on int(str)
     body = text.removesuffix("i")
@@ -266,7 +341,7 @@ def test_render_json_matches_json_dumps_on_pinned_requests():
         assert "\n" not in line, pin["argv"]
         assert line == json.dumps(json.loads(line)), pin["argv"]
         printed += 1
-    assert printed == 10
+    assert printed == 13
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from siegelcm import (
     context,
     to_complex,
 )
+from siegelcm.exactmath import conjugate_key
 
 
 def test_quad_irrational_validation():
@@ -97,3 +98,12 @@ def test_context_rejects_tiny_precision():
     for bits in (float("nan"), float("inf"), "256"):
         with pytest.raises(InputError, match="integer"):
             context(bits)
+
+
+def test_conjugate_key_pairs_a_value_with_its_conjugate_alone():
+    z = context(128).mpc(3, -2) / 7
+    assert conjugate_key(z) == conjugate_key(z.conjugate())
+    real = context(128).mpc(5)
+    assert conjugate_key(real) == conjugate_key(real.conjugate())
+    others = [context(128).mpc(-z.real, z.imag), z * 2, context(129).mpc(z), context(128).mpc(z.real, 0)]
+    assert len({conjugate_key(w) for w in [z, *others]}) == len(others) + 1

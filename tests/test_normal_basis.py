@@ -203,10 +203,12 @@ def test_check_criterion_level_six_run(records_20_6):
     assert max(report.ratios) <= report.max_ratio
 
 
-@pytest.mark.parametrize("d, N, p", [(-1031, 7, 256), (-311, 12, 1408)])
+@pytest.mark.parametrize("d, N, p", [(-1031, 7, 256), (-311, 12, 1408), (-71, 30, 256), (-95, 12, 256)])
 def test_check_criterion_ratios_are_mpmath_quotients(d, N, p):
     # each ratio is |z| / |base| divided at p + 16 bits, each modulus taken
-    # at its value's own precision, and max_ratio and m follow from them
+    # at its value's own precision, and max_ratio and m follow from them;
+    # one quotient serves a value and its conjugate, so mirrored records
+    # and records on self-partnered forms are both among the cases
     recs = conjugates(validate_discriminant(d), N, precision=p)
     report = check_criterion(recs)
     ctx = context(p + 16)

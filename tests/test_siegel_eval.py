@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -111,7 +112,7 @@ def test_truncation_soundness(monkeypatch):
     # error 64 bits above 2^-W would leave it.  The doubled M takes W + 1
     # bits, at least its own scale: the term count K grows by less than
     # sqrt(2), so U, and with it W, by less than one bit
-    key = (context(320).mpc(SQRT5_I), 6, 320)
+    key = (SQRT5_I._mpc_, 6, 320)  # the raw point _form_tables is keyed on, at work bits
     vectors = [(0, 1), (1, 2)]
     chosen = [siegel_power(v, w, SQRT5_I, 6, "-", precision=320, guard=0) for v, w in vectors]
     with mpmath.workprec(640):
@@ -119,7 +120,7 @@ def test_truncation_soundness(monkeypatch):
             ref = oracle_siegel_g(Fraction(v, 6), Fraction(w, 6), context(640).mpc(SQRT5_I), 100, 640) ** -12
             assert abs(value - ref) / abs(ref) < mpmath.mpf(2) ** -316
     budget = siegel_eval._budget
-    m, bits = budget(*key)
+    m, bits = budget(SQRT5_I, 6, 320)
     assert len(siegel_eval._form_tables(*key).qpow) == m + 1
     monkeypatch.setattr(siegel_eval, "_budget", lambda *args: (2 * budget(*args)[0], budget(*args)[1] + 1))
     siegel_eval._form_tables.cache_clear()
@@ -197,6 +198,47 @@ def test_values_do_not_depend_on_the_table_cache():
         assert again(rec) == rec.value
 
 
+def test_a_finer_point_shares_the_tables_of_its_rounding():
+    # tables are keyed on the point rounded to work bits: a tau at 1024 bits
+    # and its rounding to 320 reach one entry and give the same bits
+    d, N, p = validate_discriminant(-71), 30, 256
+    point = theta_of_form(reduced_forms(d)[3])
+    fine = to_complex(point, 1024)
+    rounded = context(p + 64).make_mpc(mpmath.libmp.mpc_pos(fine._mpc_, p + 64, "n"))
+    assert rounded != fine
+    siegel_eval._form_tables.cache_clear()
+    values = [siegel_power(1, 2, tau, N, precision=p)._mpc_ for tau in (fine, rounded)]
+    info = siegel_eval._form_tables.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert values[0] == values[1]
+
+
+def _pow_by_mul(x, n, bits):
+    # binary powering with every square formed by _mul(x, x, bits)
+    while not n & 1:
+        x, n = siegel_eval._mul(x, x, bits), n >> 1
+    acc = x
+    while n := n >> 1:
+        x = siegel_eval._mul(x, x, bits)
+        if n & 1:
+            acc = siegel_eval._mul(acc, x, bits)
+    return acc
+
+
+def test_squares_are_the_integers_of_mul():
+    # (a + b)(a - b) and 2ab are the parts of _mul(x, x): bit for bit, with
+    # negative parts, mantissas short enough that nothing is cut (drop <= 0),
+    # and the exponents e = -84 of level 7 and 12N of level 2
+    rng = random.Random(22)
+    for _ in range(300):
+        size, bits = rng.randint(1, 400), rng.choice((8, 64, 347, 1000))
+        a, b = (rng.choice((-1, 1)) * rng.getrandbits(size) for _ in range(2))
+        x = (a, b, rng.randint(-900, 900))
+        assert siegel_eval._square(x, bits) == siegel_eval._mul(x, x, bits), (x, bits)
+        for n in (1, 2, 3, 24, 84):
+            assert siegel_eval._pow(x, n, bits) == _pow_by_mul(x, n, bits), (x, n, bits)
+
+
 def test_cached_powers_of_r_are_bit_identical():
     # the tables keep r^|k| per (v, e); a warm cache must give the cold bits
     d, N, p = validate_discriminant(-1031), 7, 256
@@ -213,7 +255,7 @@ def test_cached_powers_of_r_are_bit_identical():
     warm = [siegel_power(v, w, tau, N, sign, precision=p)._mpc_ for v, w, sign in calls]
     assert warm == fresh
     # one entry per (v, e), and k depends on v through v (N - v) alone
-    tables = siegel_eval._form_tables(context(p + 64).mpc(tau), N, p + 64)
+    tables = siegel_eval._form_tables(tau._mpc_, N, p + 64)
     e, plus = power_exponent(N), power_exponent(N, "+")
     assert set(tables.per_v) == {(v, e) for v in range(N)} | {(0, plus), (3, plus)}
     assert all(tables.per_v[v, e][1] == tables.per_v[N - v, e][1] for v in range(1, N))
@@ -250,7 +292,7 @@ def test_class_sums_hold_one_entry_per_v():
     siegel_eval._form_tables.cache_clear()
     for rec in chosen:
         siegel_power(*rec.vector.as_tuple(), tau, N, precision=p)
-    tables = siegel_eval._form_tables(context(p + 64).mpc(tau), N, p + 64)
+    tables = siegel_eval._form_tables(tau._mpc_, N, p + 64)
     assert set(tables.per_v) == {(rec.vector.v, power_exponent(N)) for rec in chosen}
     for key, (sums, _) in tables.per_v.items():
         assert 0 < len(sums) <= 2 * math.isqrt(2 * (len(tables.qpow) - 1)) + 3, key
@@ -345,6 +387,7 @@ def test_params_validation():
         siegel_power(0.5, 1, TAU_I, 6, "-")
     # integral entries follow the level's rule and are accepted
     assert siegel_power(1.0, 1, TAU_I, 6, "-") == siegel_power(1, 1, TAU_I, 6, "-")
+    assert siegel_power(1, 1, 1j, 6, "-") == siegel_power(1, 1, TAU_I, 6, "-")  # a Python complex tau
     with pytest.raises(InputError, match="integer >= 2 bits"):
         conjugates(validate_discriminant(-20), 6, precision=256.5)
 
@@ -398,7 +441,7 @@ def test_eta_denominator_matches_mpmath(d, N, p):
     point = min({theta_of_form(rec.form) for rec in records}, key=lambda pt: float(to_complex(pt, 64).imag))
     work = p + 64
     key = to_complex(point, work)
-    tables = siegel_eval._form_tables(key, N, work)
+    tables = siegel_eval._form_tables(key._mpc_, N, work)
     with mpmath.workprec(2 * tables.bits):
         tau = mpmath.mpc(key)
         ref = 1 / mpmath.qp(mpmath.exp(2j * mpmath.pi * tau))
