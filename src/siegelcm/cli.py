@@ -7,8 +7,8 @@ library: 64 guard bits during evaluation and a snap tolerance of 1e-10.
 
 Exit codes: 0 success, 2 rejected input (``InputError``), 3 evaluation
 failure (``EvaluationError``); ``errors`` lists what raises each.
-The report goes to stdout as one line of JSON, written by ``json.dumps``
-without indent (CPython's C encoder).
+The report goes to stdout as one line of JSON from ``json.dumps`` without
+indent (CPython's C encoder); it repeats no field and prints no constant.
 High-precision values are rendered as decimal strings holding only
 certified digits (``format_complex``), at any length (``_digits``).
 Output for a fixed configuration is byte-identical across runs; the
@@ -44,9 +44,9 @@ from .normal_basis import (
     minimal_polynomial,
     siegel_ramachandra_invariant,
 )
-from .quadforms import reduced_forms, theta_of_form, validate_discriminant
+from .quadforms import reduced_forms, validate_discriminant
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 SUBCOMMANDS = ("forms", "conjugates", "normal-basis", "minpoly", "invariant")
 MIN_PRECISION = 64
 
@@ -176,12 +176,11 @@ def _conjugate_text(text: str) -> str:
 
 
 def _conjugate_rows(records: list[ConjugateRecord]) -> list[dict]:
-    points = {form: theta_of_form(form) for form in {rec.form for rec in records}}
     # format_complex once per conjugate_key; a value and its conjugate differ in one sign
     texts = {}
     rows = []
     for rec in records:
-        alpha, point, value = rec.alpha, points[rec.form], rec.value
+        alpha, value = rec.alpha, rec.value
         sign, key = value._mpc_[1][0], conjugate_key(value)
         seen = texts.get(key)
         if seen is None:
@@ -192,7 +191,6 @@ def _conjugate_rows(records: list[ConjugateRecord]) -> list[dict]:
                 "alpha": [[alpha.m11, alpha.m12], [alpha.m21, alpha.m22]],
                 "form": list(rec.form.as_tuple()),
                 "vector": list(rec.vector.as_tuple()),
-                "point": {"p": point.p, "q": point.q, "d": point.d},
                 "value": text,
             }
         )
@@ -204,7 +202,6 @@ def _compute(config: RunConfig) -> dict:
     if config.subcommand == "forms":
         forms = reduced_forms(d)
         return {
-            "discriminant": d.d,
             "class_number": len(forms),
             "forms": [list(q.as_tuple()) for q in forms],
         }
@@ -234,7 +231,6 @@ def _compute(config: RunConfig) -> dict:
         "degree": poly.degree,
         "coefficients": [_digits(c) for c in poly.coefficients],
         "max_rounding_residual": poly.max_rounding_residual,
-        "max_imag_residual": poly.max_imag_residual,
     }
 
 

@@ -13,8 +13,9 @@ mismatched moduli, an empty record list or one that repeats a (form,
 vector) pair (``check_criterion``, ``minimal_polynomial``), records that
 do not start with the base value or whose count is not h(d) #W/{+-1}
 (``check_criterion``) or are not closed under complex conjugation
-(``minimal_polynomial``), and the other argument checks of
-``siegel_power``, ``normal_basis`` and the CLI's ``RunConfig``.
+(``minimal_polynomial``), a tau that rounds to a point with an infinite or
+NaN part or off the upper half-plane, and the other checks of ``siegel_power``,
+``normal_basis`` and the CLI's ``RunConfig``.
 
 ``EvaluationError`` (CLI exit code 3) reports valid inputs whose computation
 cannot be completed: a truncation index above its cap (``siegel_power``), a

@@ -129,7 +129,7 @@ import math
 from math import gcd
 from typing import NamedTuple
 
-from mpmath.libmp import from_man_exp, mpc_pos, to_fixed
+from mpmath.libmp import finf, fnan, fninf, from_man_exp, mpc_pos, to_fixed
 
 from .errors import EvaluationError, InputError
 from .exactmath import DEFAULT_GUARD, DEFAULT_PRECISION, context, is_integral, require_level
@@ -310,22 +310,23 @@ def siegel_power(
     (v, w) may be any integers (or integral values) not congruent to
     (0, 0) mod N; they are reduced into [0,1)^2 before evaluating.  Both exponents make the result
     depend only on the class of +-(v/N, w/N) mod Z^2, which is what allows
-    labelling conjugates by canonical vectors.  tau, an mpc or a complex in
-    the upper half-plane, is rounded to precision + guard bits before use.
+    labelling conjugates by canonical vectors.  tau, a finite mpc or complex
+    in the upper half-plane, is rounded to precision + guard bits before use.
     """
     level = require_level(level)
     if not (is_integral(v) and is_integral(w)) or (v % level == 0 and w % level == 0):
         raise InputError(f"(v, w) must be integers, not both 0 mod N, got ({v}, {w})")
     v, w = int(v) % level, int(w) % level
-    if not tau.imag > 0:
-        raise InputError("tau must lie in the upper half-plane")
     if not is_integral(guard) or guard < 0:
         raise InputError(f"guard must be an integer >= 0 bits, got {guard}")
     e = power_exponent(level, exponent_sign)
     out = context(precision)
-    work = precision + int(guard)
+    work = out.prec + int(guard)
     point = tau._mpc_ if hasattr(tau, "_mpc_") else context(work).mpc(tau)._mpc_  # a complex has none
-    tables = _form_tables(mpc_pos(point, work, "n"), level, work)
+    point = re, im = mpc_pos(point, work, "n")
+    if re in (finf, fninf, fnan) or im[0] or not im[1]:  # im[1], the mantissa, is 0 at 0, inf, nan
+        raise InputError("tau must be a finite point of the upper half-plane")
+    tables = _form_tables(point, level, work)
     N, W, zeta = level, tables.bits, _roots(level, tables.bits)
     # x = zeta^j r^k P^e; both quotients are exact for either exponent
     k = e * (6 * v * v - 6 * v * N + N * N) // (12 * N)

@@ -37,8 +37,9 @@ def test_forms_subcommand():
     code, out, err = run_cli(["forms", "--disc", "-20"])
     assert code == 0
     doc = json.loads(out)
-    assert doc["schema"] == 5
+    assert doc["schema"] == 6
     assert doc["config"]["subcommand"] == "forms"
+    assert "discriminant" not in doc["result"]  # config.disc holds it
     assert doc["result"]["class_number"] == 2
     assert doc["result"]["forms"] == [[1, 0, 5], [2, 2, 3]]
     assert "elapsed_ms=" in err
@@ -104,6 +105,8 @@ def test_minpoly_subcommand():
     assert doc["result"]["degree"] == 8
     assert doc["result"]["coefficients"] == [str(c) for c in VERIFIED_POLY_20_6]
     assert doc["result"]["max_rounding_residual"] < 1e-10
+    assert doc["schema"] == 6
+    assert "max_imag_residual" not in doc["result"]
 
 
 def test_minpoly_snap_failure_exit_code():
@@ -131,16 +134,14 @@ def test_conjugates_subcommand():
     assert doc["result"]["count"] == 1
     row = doc["result"]["conjugates"][0]
     assert row["vector"] == [0, 1]
-    assert row["point"] == {"p": -1, "q": 2, "d": -7}
-    # every row's point is the CM point (-b + sqrt(b^2 - 4ac))/(2a) of its form
+    assert row["form"] == [1, 1, 2]
+    # a row is its index (alpha, form), its vector and its value; the form's
+    # CM point is theta_of_form(form), so the row does not repeat it
     code, out, _ = run_cli(["conjugates", "--disc", "-20", "-N", "6"])
     assert code == 0
     rows = json.loads(out)["result"]["conjugates"]
-    for row in rows:
-        a, b, c = row["form"]
-        assert row["point"] == {"p": -b, "q": 2 * a, "d": b * b - 4 * a * c}
-    points = [(r["point"]["p"], r["point"]["q"], r["point"]["d"]) for r in rows]
-    assert points == [(0, 2, -20)] * 4 + [(-2, 4, -20)] * 4
+    assert all(row.keys() == {"alpha", "form", "vector", "value"} for row in rows)
+    assert [row["form"] for row in rows] == [[1, 0, 5]] * 4 + [[2, 2, 3]] * 4
     # alpha is the W class's canonical matrix, in the group's order within each form
     group = [[[m.m11, m.m12], [m.m21, m.m22]] for m in w_group(validate_discriminant(-20), 6)]
     assert [row["alpha"] for row in rows] == group * 2

@@ -264,7 +264,7 @@ def test_records_and_report_pickle():
         "sys.stdout.buffer.write(pickle.dumps(recs))\n"
     )
     src = os.path.dirname(os.path.dirname(siegelcm.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
         [sys.executable, "-c", script], input=pickle.dumps(recs), env=env,
         capture_output=True, check=True,

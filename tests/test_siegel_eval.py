@@ -21,6 +21,7 @@ from siegelcm import (
     power_exponent,
     reduced_forms,
     siegel_power,
+    siegel_ramachandra_invariant,
     theta_of_form,
     to_complex,
     validate_discriminant,
@@ -390,6 +391,32 @@ def test_params_validation():
     assert siegel_power(1, 1, 1j, 6, "-") == siegel_power(1, 1, TAU_I, 6, "-")  # a Python complex tau
     with pytest.raises(InputError, match="integer >= 2 bits"):
         conjugates(validate_discriminant(-20), 6, precision=256.5)
+
+
+_C64 = context(64)
+
+
+@pytest.mark.parametrize(
+    "tau",
+    [
+        _C64.mpc(0, mpmath.inf), _C64.mpc(mpmath.inf, 1), _C64.mpc(-mpmath.inf, 1),
+        _C64.mpc(mpmath.nan, 1), complex(math.inf, 1), complex(0, math.inf),
+        _C64.mpc(0, mpmath.nan), _C64.mpc(0, -1), _C64.mpc(0, 0),
+    ],
+    ids=["inf i", "inf + i", "-inf + i", "nan + i", "complex(inf, 1)", "complex(0, inf)", "nan i", "-i", "0"],
+)
+def test_tau_must_be_a_finite_point_of_the_upper_half_plane(tau):
+    with pytest.raises(InputError, match="tau must be a finite point of the upper half-plane"):
+        siegel_power(0, 1, tau, 6, "-", precision=64)
+
+
+def test_an_integral_float_precision_is_its_integer():
+    d = validate_discriminant(-20)
+    assert siegel_power(0, 1, TAU_I, 6, precision=128.0)._mpc_ == siegel_power(0, 1, TAU_I, 6, precision=128)._mpc_
+    floats, ints = conjugates(d, 6, precision=128.0), conjugates(d, 6, precision=128)
+    assert [rec.value._mpc_ for rec in floats] == [rec.value._mpc_ for rec in ints]
+    invariant = siegel_ramachandra_invariant(d, 6, precision=128.0)._mpc_
+    assert invariant == siegel_ramachandra_invariant(d, 6, precision=128)._mpc_
 
 
 def test_precision_unachievable_on_tiny_imaginary_part():
