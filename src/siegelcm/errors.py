@@ -5,17 +5,19 @@ discriminant that is not an integer, negative, 0 or 1 mod 4 and fundamental
 (``Discriminant``), one passed as anything but a ``Discriminant``, such as
 a bare int (``reduced_forms``, ``principal_form`` and all that call them),
 d in {-3, -4} (``w_group``), a level that is not an integer >= 2
-(``exactmath.require_level``), a precision that is not an integer >= 2
-(``exactmath.context``), a value outside the invariants of
-``QuadIrrational``, ``QuadForm``, ``MatrixModN`` or ``FracVector`` (a
-non-integral field among them, ``exactmath.require_integers``) or with
-mismatched moduli, an empty record list or one that repeats a (form,
-vector) pair (``check_criterion``, ``minimal_polynomial``), records that
-do not start with the base value or whose count is not h(d) #W/{+-1}
+(``exactmath.require_level``, which ``power_exponent`` applies too), a
+precision that is not an integer >= 2 (``exactmath.context``), a value
+outside the invariants of ``QuadIrrational`` or ``QuadForm``, a
+non-integral field of any value type (``exactmath.require_integers``), a
+``MatrixModN`` that is not invertible mod N, a zero ``FracVector`` mod Z^2
+(either takes any representative and stores it reduced), mismatched moduli,
+an empty record list or one that repeats a (form, vector) pair
+(``check_criterion``, ``minimal_polynomial``), records that do not start
+with the base value or whose count is not h(d) #W/{+-1}
 (``check_criterion``) or are not closed under complex conjugation
 (``minimal_polynomial``), a tau that rounds to a point with an infinite or
-NaN part or off the upper half-plane, and the other checks of ``siegel_power``,
-``normal_basis`` and the CLI's ``RunConfig``.
+NaN part or off the upper half-plane, and the other checks of
+``siegel_power``, ``normal_basis`` and the CLI's ``RunConfig``.
 
 ``EvaluationError`` (CLI exit code 3) reports valid inputs whose computation
 cannot be completed: a truncation index above its cap (``siegel_power``), a

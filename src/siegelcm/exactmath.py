@@ -102,6 +102,7 @@ def to_complex(x: QuadIrrational, precision: int = DEFAULT_PRECISION):
     The square root is computed with 16 extra bits so the final quotient is
     within one ulp of the exact value; the result's imaginary part is > 0.
     """
+    precision = context(precision).prec
     work = context(precision + 16)
     s = work.sqrt(work.mpf(-x.d))
     re = work.mpf(x.p) / x.q

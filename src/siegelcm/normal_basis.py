@@ -94,12 +94,12 @@ def _partner(Q: QuadForm, vector: FracVector) -> tuple[tuple[int, int, int], Fra
     a, b, c = Q.as_tuple()
     v, w, N = vector.v, vector.w, vector.modulus
     if b == 0:
-        return (a, 0, c), FracVector.make(v, -w, N)
+        return (a, 0, c), FracVector(v, -w, N)
     if b == a:
-        return (a, a, c), FracVector.make(v, v - w, N)
+        return (a, a, c), FracVector(v, v - w, N)
     if a == c:
-        return (a, b, a), FracVector.make(w, v, N)
-    return (a, -b, c), FracVector.make(v, -w, N)
+        return (a, b, a), FracVector(w, v, N)
+    return (a, -b, c), FracVector(v, -w, N)
 
 
 def conjugates(
@@ -125,8 +125,9 @@ def conjugates(
     Every other record is evaluated, among them all records of the forms
     that are their own partner (b = 0, b = a or a = c).
     """
+    precision = context(precision).prec
     forms, group = conjugate_indices(d, N)
-    base = FracVector.make(0, 1, N)
+    base = FracVector(0, 1, N)
     starts = [act_vector(base, alpha) for alpha in group]
     records = []
     mirrored = {}
@@ -328,5 +329,6 @@ def siegel_ramachandra_invariant(
 ) -> mpmath.mpc:
     """g_{(0,1/N)}(theta)^{12N} at the standard generator theta, rounded to
     precision + 64 bits; siegel_eval's "Rounded CM points" bounds the error."""
+    precision = context(precision).prec
     tau = to_complex(theta(d), precision + DEFAULT_GUARD)
     return siegel_power(0, 1, tau, N, "+", precision=precision, guard=DEFAULT_GUARD)

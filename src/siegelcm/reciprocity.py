@@ -25,7 +25,7 @@ IntMatrix = tuple[tuple[int, int], tuple[int, int]]
 
 @dataclass(frozen=True)
 class MatrixModN:
-    """An invertible 2x2 matrix over Z/NZ, entries stored as residues in [0, N)."""
+    """An invertible 2x2 matrix over Z/NZ; any integer entries are stored as residues in [0, N)."""
 
     m11: int
     m12: int
@@ -36,15 +36,10 @@ class MatrixModN:
     def __post_init__(self):
         require_integers(self, "m11", "m12", "m21", "m22", "modulus")
         n = require_level(self.modulus)
-        if not all(0 <= e < n for e in self.entries()):
-            raise InputError(f"entries must be residues mod {n}: {self.entries()}")
+        for name in ("m11", "m12", "m21", "m22"):
+            object.__setattr__(self, name, getattr(self, name) % n)
         if gcd(self.det(), n) != 1:
             raise InputError(f"matrix {self.entries()} is not invertible mod {n}")
-
-    @classmethod
-    def make(cls, m11, m12, m21, m22, modulus) -> "MatrixModN":
-        n = require_level(modulus)
-        return cls(m11 % n, m12 % n, m21 % n, m22 % n, n)
 
     def entries(self) -> tuple[int, int, int, int]:
         return (self.m11, self.m12, self.m21, self.m22)
@@ -63,19 +58,22 @@ class MatrixModN:
     def __mul__(self, other: "MatrixModN") -> "MatrixModN":
         if self.modulus != other.modulus:
             raise InputError("matrix product needs matching moduli")
-        n = self.modulus
         return MatrixModN(
-            (self.m11 * other.m11 + self.m12 * other.m21) % n,
-            (self.m11 * other.m12 + self.m12 * other.m22) % n,
-            (self.m21 * other.m11 + self.m22 * other.m21) % n,
-            (self.m21 * other.m12 + self.m22 * other.m22) % n,
-            n,
+            self.m11 * other.m11 + self.m12 * other.m21,
+            self.m11 * other.m12 + self.m12 * other.m22,
+            self.m21 * other.m11 + self.m22 * other.m21,
+            self.m21 * other.m12 + self.m22 * other.m22,
+            self.modulus,
         )
 
 
 @dataclass(frozen=True)
 class FracVector:
-    """The class of the row vector (v/N, w/N) mod Z^2 and mod sign."""
+    """The class of the row vector (v/N, w/N) mod Z^2 and mod sign.
+
+    Any integer representative (v, w) is stored as the class's
+    sign-canonical pair of residues in [0, N).
+    """
 
     v: int
     w: int
@@ -84,18 +82,12 @@ class FracVector:
     def __post_init__(self):
         require_integers(self, "v", "w", "modulus")
         n = require_level(self.modulus)
-        if not (0 <= self.v < n and 0 <= self.w < n):
-            raise InputError(f"vector entries must be residues mod {n}")
-        if self.v == 0 and self.w == 0:
+        v, w = self.v % n, self.w % n
+        if v == 0 and w == 0:
             raise InputError("vector must be nonzero mod Z^2")
-        if (self.v, self.w) != min((self.v, self.w), ((-self.v) % n, (-self.w) % n)):
-            raise InputError(f"vector ({self.v}, {self.w}) is not sign-canonical")
-
-    @classmethod
-    def make(cls, v: int, w: int, modulus: int) -> "FracVector":
-        n = require_level(modulus)
-        v, w = v % n, w % n
-        return cls(*min((v, w), ((-v) % n, (-w) % n)), n)
+        v, w = min((v, w), (-v % n, -w % n))
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "w", w)
 
     def as_tuple(self) -> tuple[int, int]:
         return (self.v, self.w)
@@ -150,7 +142,7 @@ def beta_modN(Q: QuadForm, N: int) -> MatrixModN:
         e_p = rest * pow(rest, -1, pe)
         (m11, m12), (m21, m22) = beta_local(Q, p)
         beta = tuple(x + e_p * m for x, m in zip(beta, (m11, m12, m21, m22)))
-    return MatrixModN.make(*beta, N).canonical()
+    return MatrixModN(*beta, N).canonical()
 
 
 def w_group(d: Discriminant, N: int) -> list[MatrixModN]:
@@ -200,7 +192,7 @@ def act_vector(vec: FracVector, M: MatrixModN) -> FracVector:
     if vec.modulus != M.modulus:
         raise InputError("vector and matrix moduli differ")
     v, w = vec.v, vec.w
-    return FracVector.make(v * M.m11 + w * M.m21, v * M.m12 + w * M.m22, vec.modulus)
+    return FracVector(v * M.m11 + w * M.m21, v * M.m12 + w * M.m22, vec.modulus)
 
 
 def conjugate_indices(d: Discriminant, N: int) -> tuple[list[QuadForm], list[MatrixModN]]:

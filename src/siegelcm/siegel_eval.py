@@ -289,6 +289,7 @@ def _class_sums(tables: _Tables, v: int, k: int, level: int) -> tuple:
 
 def power_exponent(level: int, exponent_sign: str = "-") -> int:
     """The exponent used on g: -12N/gcd(6, N), or +12N for sign '+'."""
+    level = require_level(level)
     if exponent_sign == "-":
         return -12 * level // gcd(6, level)
     if exponent_sign == "+":

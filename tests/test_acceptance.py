@@ -92,7 +92,7 @@ def test_criterion_2_reciprocity_data_of_minus_20():
     elapsed = time.perf_counter() - start
     expected_w = [(1, 0, 0, 1), (0, 1, 1, 0), (2, 3, 3, 2), (3, 2, 2, 3)]
     ok = (
-        beta == MatrixModN.make(1, 5, 3, 2, 6)
+        beta == MatrixModN(1, 5, 3, 2, 6)
         and sorted(group) == sorted(expected_w)
         and len(group) == 4
         and elapsed < 1e-3
@@ -243,9 +243,9 @@ def test_criterion_6_oracle_equivalence():
             while True:
                 ms = [rng.randrange(N) for _ in range(4)]
                 if gcd((ms[0] * ms[3] - ms[1] * ms[2]) % N, N) == 1:
-                    return MatrixModN.make(*ms, N)
+                    return MatrixModN(*ms, N)
 
-        vec, m1, m2 = FracVector.make(v, w, N), unit_matrix(), unit_matrix()
+        vec, m1, m2 = FracVector(v, w, N), unit_matrix(), unit_matrix()
         if act_vector(act_vector(vec, m1), m2) != act_vector(vec, m1 * m2):
             law_breaks += 1
     ok = not mismatches and law_breaks == 0

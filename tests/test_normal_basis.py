@@ -66,7 +66,7 @@ def records_20_6():
 
 def test_conjugates_level_six_vectors(records_20_6):
     got = [r.vector for r in records_20_6]
-    expected = [FracVector.make(v, w, 6) for v, w in EXPECTED_VECTORS_20_6]
+    expected = [FracVector(v, w, 6) for v, w in EXPECTED_VECTORS_20_6]
     assert got == expected
 
 
@@ -85,7 +85,7 @@ def test_records_run_over_forms_times_group():
     forms, group = conjugate_indices(d, N)
     records = conjugates(d, N, precision=64)
     assert [(r.form, r.alpha) for r in records] == [(Q, alpha) for Q in forms for alpha in group]
-    base = FracVector.make(0, 1, N)
+    base = FracVector(0, 1, N)
     for rec in records:
         assert rec.vector == act_vector(base, rec.alpha * beta_modN(rec.form, N))
 

@@ -165,7 +165,7 @@ def _kronecker(d: int, p: int) -> int:
 
 
 def test_w_group_matches_canonical_matrices_and_the_closed_form():
-    # against a reference set made with MatrixModN.make(...).canonical() for
+    # against a reference set made with MatrixModN(...).canonical() for
     # every unit (t, s), and against #W/{+-1} = phi_K(N)/2 for N > 2 and
     # phi_K(2) for N = 2, phi_K(N) = N^2 prod_{p | N} (1 - 1/p)(1 - chi_d(p)/p),
     # which the library's _w_order computes by counting roots mod p instead
@@ -175,7 +175,7 @@ def test_w_group_matches_canonical_matrices_and_the_closed_form():
         for N in range(2, 19):
             group = w_group(d, N)
             reference = {
-                MatrixModN.make(t - b * s, -c * s, s, t, N).canonical()
+                MatrixModN(t - b * s, -c * s, s, t, N).canonical()
                 for t in range(N)
                 for s in range(N)
                 if gcd(t * t - b * s * t + c * s * s, N) == 1
@@ -202,26 +202,26 @@ def test_w_elements_have_w_shape_and_unit_det():
 
 
 def test_act_vector_examples():
-    swap = MatrixModN.make(0, 1, 1, 0, 6)
-    v = FracVector.make(0, 1, 6)
+    swap = MatrixModN(0, 1, 1, 0, 6)
+    v = FracVector(0, 1, 6)
     assert act_vector(v, swap).as_tuple() == (1, 0)
-    assert act_vector(v, MatrixModN.make(1, 0, 0, 1, 6)).as_tuple() == (0, 1)
-    m = MatrixModN.make(2, 3, 3, 2, 6)
+    assert act_vector(v, MatrixModN(1, 0, 0, 1, 6)).as_tuple() == (0, 1)
+    m = MatrixModN(2, 3, 3, 2, 6)
     assert act_vector(v, m).as_tuple() == (3, 2)
 
 
 def test_act_vector_canonicalizes_sign():
     # (0,1) * (3,1;5,4) = (5,4), whose canonical class representative is (1,2)
-    m = MatrixModN.make(3, 1, 5, 4, 6)
-    assert act_vector(FracVector.make(0, 1, 6), m).as_tuple() == (1, 2)
-    assert FracVector.make(5, 4, 6).as_tuple() == (1, 2)
+    m = MatrixModN(3, 1, 5, 4, 6)
+    assert act_vector(FracVector(0, 1, 6), m).as_tuple() == (1, 2)
+    assert FracVector(5, 4, 6).as_tuple() == (1, 2)
 
 
 def _random_unit_matrix(rng, N):
     while True:
         a, b, c, d = (rng.randrange(N) for _ in range(4))
         if gcd((a * d - b * c) % N, N) == 1:
-            return MatrixModN.make(a, b, c, d, N)
+            return MatrixModN(a, b, c, d, N)
 
 
 def test_act_vector_is_right_action():
@@ -232,10 +232,17 @@ def test_act_vector_is_right_action():
         v, w = rng.randrange(N), rng.randrange(N)
         if v == 0 and w == 0:
             continue
-        vec = FracVector.make(v, w, N)
+        vec = FracVector(v, w, N)
         m1 = _random_unit_matrix(rng, N)
         m2 = _random_unit_matrix(rng, N)
         assert act_vector(act_vector(vec, m1), m2) == act_vector(vec, m1 * m2)
+        # any representative names the same class: shift each entry by a
+        # multiple of N, and negate the vector
+        shifted = FracVector(-v + N * rng.randrange(-3, 4), -w + N * rng.randrange(-3, 4), N)
+        again = MatrixModN(*(e + N * rng.randrange(-3, 4) for e in m1.entries()), N)
+        assert shifted == vec and again == m1
+        for stored in (*vec.as_tuple(), *shifted.as_tuple(), *m1.entries(), *again.entries()):
+            assert type(stored) is int and 0 <= stored < N
         checked += 1
 
 
@@ -246,20 +253,18 @@ def test_act_vector_never_hits_zero():
         v, w = rng.randrange(N), rng.randrange(N)
         if v == 0 and w == 0:
             continue
-        out = act_vector(FracVector.make(v, w, N), _random_unit_matrix(rng, N))
+        out = act_vector(FracVector(v, w, N), _random_unit_matrix(rng, N))
         assert out.as_tuple() != (0, 0)
 
 
 def test_frac_vector_validation():
     with pytest.raises(InputError):
-        FracVector.make(0, 0, 6)
-    with pytest.raises(InputError):
-        FracVector(5, 4, 6)  # not canonical; make() would give (1, 2)
-    with pytest.raises(InputError, match="residues mod 6"):
-        FracVector(7, 1, 6)
+        FracVector(0, 0, 6)
+    assert FracVector(5, 4, 6) == FracVector(1, 2, 6)  # stored sign-canonical
+    assert FracVector(7, 1, 6) == FracVector(1, 1, 6)  # stored as residues mod N
     with pytest.raises(InputError, match="moduli differ"):
-        act_vector(FracVector.make(0, 1, 6), MatrixModN.make(1, 0, 0, 1, 5))
-    assert FracVector.make(6, 7, 6).as_tuple() == (0, 1)  # reduced mod N
+        act_vector(FracVector(0, 1, 6), MatrixModN(1, 0, 0, 1, 5))
+    assert FracVector(6, 7, 6).as_tuple() == (0, 1)  # reduced mod N
     with pytest.raises(InputError, match="FracVector.v must be an integer"):
         FracVector(0.5, 1, 6)
     with pytest.raises(InputError, match="FracVector.w must be an integer"):
@@ -267,26 +272,23 @@ def test_frac_vector_validation():
     with pytest.raises(InputError, match="FracVector.modulus must be an integer"):
         FracVector(0, 1, "6")
     v = FracVector(0, 1.0, 6)  # an integral float is stored as its int
-    assert v == FracVector.make(0, 1, 6) and type(v.w) is int
+    assert v == FracVector(0, 1, 6) and type(v.w) is int
 
 
 def test_matrix_modn_validation():
     with pytest.raises(InputError):
-        MatrixModN.make(2, 0, 0, 2, 6)  # det 4, gcd(4,6) = 2
-    with pytest.raises(InputError):
-        MatrixModN(7, 0, 0, 1, 6)  # entries out of range
+        MatrixModN(2, 0, 0, 2, 6)  # det 4, gcd(4,6) = 2
+    assert MatrixModN(7, 0, -6, 13, 6).entries() == (1, 0, 0, 1)  # stored as residues mod N
     with pytest.raises(InputError, match="matching moduli"):
-        MatrixModN.make(1, 0, 0, 1, 6) * MatrixModN.make(1, 0, 0, 1, 5)
-    with pytest.raises(InputError):
-        MatrixModN.make(1, 0, 0, 1, 6.5)  # not truncated to level 6
+        MatrixModN(1, 0, 0, 1, 6) * MatrixModN(1, 0, 0, 1, 5)
     with pytest.raises(InputError, match="MatrixModN.modulus must be an integer"):
-        MatrixModN(1, 0, 0, 1, 6.5)
+        MatrixModN(1, 0, 0, 1, 6.5)  # not truncated to level 6
     with pytest.raises(InputError, match="MatrixModN.m12 must be an integer"):
         MatrixModN(1, 0.5, 0, 1, 6)
-    # an integral float modulus is stored as its int, as make() stores it
+    # an integral float modulus is stored as its int
     m = MatrixModN(1, 0, 0, 1, 6.0)
-    assert m == MatrixModN.make(1, 0, 0, 1, 6) and type(m.modulus) is int
-    m = MatrixModN.make(5, 1, 3, 4, 6)
+    assert m == MatrixModN(1, 0, 0, 1, 6) and type(m.modulus) is int
+    m = MatrixModN(5, 1, 3, 4, 6)
     assert m.canonical().entries() == (1, 5, 3, 2)
 
 

@@ -22,6 +22,7 @@ from siegelcm import (
     reduced_forms,
     siegel_power,
     siegel_ramachandra_invariant,
+    theta,
     theta_of_form,
     to_complex,
     validate_discriminant,
@@ -321,6 +322,11 @@ def test_power_exponent():
     assert power_exponent(5, "+") == 60
     with pytest.raises(InputError):
         power_exponent(6, "*")
+    # the level follows the one level rule: integral and >= 2
+    assert power_exponent(6.0) == -12
+    for level in ("6", 1, 0, -6, True):
+        with pytest.raises(InputError, match=f"got {level}$"):
+            power_exponent(level)
 
 
 def test_siegel_power_matches_oracle_power():
@@ -417,6 +423,23 @@ def test_an_integral_float_precision_is_its_integer():
     assert [rec.value._mpc_ for rec in floats] == [rec.value._mpc_ for rec in ints]
     invariant = siegel_ramachandra_invariant(d, 6, precision=128.0)._mpc_
     assert invariant == siegel_ramachandra_invariant(d, 6, precision=128)._mpc_
+    assert to_complex(theta(d), 128.0)._mpc_ == to_complex(theta(d), 128)._mpc_
+
+
+@pytest.mark.parametrize("precision", ["256", None, 12.5, -63, 1.5])
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda d, p: conjugates(d, 6, precision=p),
+        lambda d, p: siegel_ramachandra_invariant(d, 6, precision=p),
+        lambda d, p: to_complex(theta(d), p),
+    ],
+    ids=["conjugates", "siegel_ramachandra_invariant", "to_complex"],
+)
+def test_precision_is_checked_before_any_arithmetic_on_it(evaluate, precision):
+    # checked before any guard bits are added, so the message names the value passed
+    with pytest.raises(InputError, match=f"got {precision}$"):
+        evaluate(validate_discriminant(-20), precision)
 
 
 def test_precision_unachievable_on_tiny_imaginary_part():
