@@ -9,7 +9,6 @@ integer polynomial whose roots are the conjugates.
 from .errors import EvaluationError, InputError, SnapFailureError
 from .exactmath import (
     QuadIrrational,
-    agreement_bits,
     context,
     to_complex,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "QuadIrrational",
     "SnapFailureError",
     "act_vector",
-    "agreement_bits",
     "beta_local",
     "beta_modN",
     "check_criterion",

@@ -117,14 +117,14 @@ def _half_up(x) -> int:
     return (man + (1 << (-exp - 1))) >> -exp
 
 
-def _decimal(part, place: int) -> str:
-    """The finite mpf ``part`` rounded to a multiple of 10^place.
+def _decimal(part: tuple, place: int) -> str:
+    """The finite raw mpf ``part`` rounded to a multiple of 10^place.
 
     Fixed-point notation when the leading digit's exponent lies in
     (-5, digit count), else d.ddde+X; trailing zeros are stripped, and a
     part that rounds to zero is "0.0", without a sign.
     """
-    sign, man, exp, bc = part._mpf_
+    sign, man, exp, bc = part
     digits = _digits(_rounded(man, exp, bc, place))
     if digits == "0":
         return "0.0"
@@ -138,60 +138,54 @@ def _decimal(part, place: int) -> str:
     return "-" + text if sign else text
 
 
-def format_complex(z) -> str:
-    """'re+imi' or 're-imi' with only the digits that z's precision certifies.
+def _parts(z) -> tuple[str, str]:
+    """The certified digits of Re z and of |Im z|, which z and conj(z) share.
 
     z carries a relative error below 2^-p, p = z.context.prec, so each
     part is rounded at the decimal place 10^floor(log10(|z| 2^-p)), the
     largest power of ten at or below that bound, with |z| replaced by
     2^(top-1) <= max(|re|, |im|) <= |z| from the parts' binary exponents.
-    A part much smaller than |z| keeps only its certified leading digits,
-    and one that rounds to zero prints as 0.0 (so +0.0i), hiding the sign
-    of its noise.
+    A part much smaller than |z| keeps only its certified leading digits.
     """
     ctx = z.context
     if not ctx.isfinite(z):
         raise EvaluationError(f"cannot print the non-finite value {z}")
     top = max(ctx.mag(z.real), ctx.mag(z.imag))
     place = floor((top - 1 - ctx.prec) * log10(2)) if z else 0
-    im = _decimal(z.imag, place)
-    return f"{_decimal(z.real, place)}{'' if im[0] == '-' else '+'}{im}i"
+    re, (_, *im) = z._mpc_
+    return _decimal(re, place), _decimal((0, *im), place)
 
 
-def _conjugate_text(text: str) -> str:
-    """format_complex's text of conj(z), from its text of z.
+def _joined(parts: tuple[str, str], negative) -> str:
+    """'re+imi', or 're-imi' when Im z is negative and does not print as 0.0."""
+    re, im = parts
+    return f"{re}{'-' if negative and im != '0.0' else '+'}{im}i"
 
-    The imaginary part is printed unsigned after the sign that joins it to
-    the real part, so the only other sign in it is its exponent's, right
-    after an "e"; a part printed as 0.0 keeps its "+".
+
+def format_complex(z) -> str:
+    """'re+imi' or 're-imi' with only the digits that z's precision certifies.
+
+    The two parts are ``_parts(z)``; one that rounds to zero prints as 0.0
+    (so +0.0i), hiding the sign of its noise.
     """
-    body = text[:-1]
-    cut = max(body.rfind("+"), body.rfind("-"))
-    if body[cut - 1] == "e":
-        cut = max(body.rfind("+", 0, cut - 1), body.rfind("-", 0, cut - 1))
-    imag = body[cut + 1 :]
-    if imag == "0.0":
-        return text
-    return f"{body[:cut]}{'-' if body[cut] == '+' else '+'}{imag}i"
+    return _joined(_parts(z), z._mpc_[1][0])
 
 
 def _conjugate_rows(records: list[ConjugateRecord]) -> list[dict]:
-    # format_complex once per conjugate_key; a value and its conjugate differ in one sign
-    texts = {}
+    # _parts once per conjugate_key, joined with each record's own sign of Im
+    parts = {}
     rows = []
     for rec in records:
         alpha, value = rec.alpha, rec.value
-        sign, key = value._mpc_[1][0], conjugate_key(value)
-        seen = texts.get(key)
-        if seen is None:
-            seen = texts[key] = (sign, format_complex(value))
-        text = seen[1] if seen[0] == sign else _conjugate_text(seen[1])
+        key = conjugate_key(value)
+        if key not in parts:
+            parts[key] = _parts(value)
         rows.append(
             {
                 "alpha": [[alpha.m11, alpha.m12], [alpha.m21, alpha.m22]],
                 "form": list(rec.form.as_tuple()),
                 "vector": list(rec.vector.as_tuple()),
-                "value": text,
+                "value": _joined(parts[key], value._mpc_[1][0]),
             }
         )
     return rows

@@ -5,8 +5,9 @@ discriminant that is not an integer, negative, 0 or 1 mod 4 and fundamental
 (``Discriminant``), one passed as anything but a ``Discriminant``, such as
 a bare int (``reduced_forms``, ``principal_form`` and all that call them),
 d in {-3, -4} (``w_group``), a level that is not an integer >= 2
-(``exactmath.require_level``, which ``power_exponent`` applies too), a
-precision that is not an integer >= 2 (``exactmath.context``), a value
+(``exactmath.require_level``, which ``power_exponent`` and
+``siegel_ramachandra_invariant`` apply too), a precision that is not an
+integer >= 2 (``exactmath.context``), a value
 outside the invariants of ``QuadIrrational`` or ``QuadForm``, a
 non-integral field of any value type (``exactmath.require_integers``), a
 ``MatrixModN`` that is not invertible mod N, a zero ``FracVector`` mod Z^2
@@ -16,12 +17,14 @@ an empty record list or one that repeats a (form, vector) pair
 with the base value or whose count is not h(d) #W/{+-1}
 (``check_criterion``) or are not closed under complex conjugation
 (``minimal_polynomial``), a tau that rounds to a point with an infinite or
-NaN part or off the upper half-plane, and the other checks of
-``siegel_power``, ``normal_basis`` and the CLI's ``RunConfig``.
+NaN part or off the upper half-plane, a ``siegel_power`` vector (v, w) that
+is not integral or is 0 mod N, or a guard that is not an integer >= 0, and
+the other checks of ``normal_basis`` and the CLI's ``RunConfig``.
 
 ``EvaluationError`` (CLI exit code 3) reports valid inputs whose computation
-cannot be completed: a truncation index above its cap (``siegel_power``), a
-zero, NaN or infinite conjugate (``check_criterion``, ``minimal_polynomial``),
+cannot be completed: a truncation index above its cap (``siegel_power``,
+``siegel_ramachandra_invariant``), a zero, NaN or infinite conjugate
+(``check_criterion``, ``minimal_polynomial``),
 a conjugate pair that disagrees beyond its error bound and coefficients
 that do not snap (``minimal_polynomial``, the latter a ``SnapFailureError``)
 and a failed certificate (the CLI's ``minpoly``).

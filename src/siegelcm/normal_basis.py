@@ -15,15 +15,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from math import gcd
 
 import mpmath
-from mpmath.libmp import mpc_abs, mpf_cmp, mpf_div, to_fixed, to_float, to_rational
+from mpmath.libmp import fzero, mpc_abs, mpf_cmp, mpf_div, to_fixed, to_float, to_rational
 
 from .errors import EvaluationError, InputError, SnapFailureError
-from .exactmath import DEFAULT_GUARD, DEFAULT_PRECISION, conjugate_key, context, to_complex
+from .exactmath import (
+    DEFAULT_GUARD, DEFAULT_PRECISION, conjugate_key, context, require_level, to_complex,
+)
 from .quadforms import Discriminant, QuadForm, reduced_forms, theta, theta_of_form
 from .reciprocity import FracVector, MatrixModN, _w_order, act_vector, beta_modN, conjugate_indices
-from .siegel_eval import siegel_power
+from .siegel_eval import _pow, _power_parts, _quotient, siegel_power
 
 # Added to the observed maximum ratio before both certificate comparisons,
 # so the certificate cannot pass (or m come out small) on rounding noise.
@@ -141,9 +144,8 @@ def conjugates(
             if known is not None:
                 value = known.conjugate()
             else:
-                value = siegel_power(
-                    vector.v, vector.w, tau, N, "-", precision=precision, guard=DEFAULT_GUARD
-                )
+                value = siegel_power(vector.v, vector.w, tau, N,
+                                     precision=precision, guard=DEFAULT_GUARD)
                 if Q.b < 0:
                     mirrored[_partner(Q, vector)] = value
             records.append(ConjugateRecord(alpha, Q, vector, value))
@@ -161,8 +163,8 @@ def _checked_precision(records: list[ConjugateRecord]) -> int:
         raise InputError("need at least one conjugate record")
     if len({(r.form, r.vector) for r in records}) < len(records):
         raise InputError("records repeat a (form, vector) pair")
-    # a NaN is truthy, but isfinite rejects it
-    if not all(r.value and mpmath.isfinite(r.value) for r in records):
+    # a special mpf (zero, an infinity or NaN) has mantissa 0: at most one part may be, and only 0
+    if any([part for part in r.value._mpc_ if not part[1]] not in ([], [fzero]) for r in records):
         raise EvaluationError("a conjugate is zero or NaN, or infinite")
     return max(r.value.context.prec for r in records)
 
@@ -275,7 +277,7 @@ def minimal_polynomial(records: list[ConjugateRecord]) -> IntPolynomial:
     certificate passed.
     """
     F = _checked_precision(records) + 64
-    bound = mpmath.ldexp(1, 2 - min(r.value.context.prec for r in records))
+    p = min(r.value.context.prec for r in records)
     by_key = {(r.form.as_tuple(), r.vector): r for r in records}
     done, factors = set(), []
     for key, rec in by_key.items():
@@ -286,7 +288,12 @@ def minimal_polynomial(records: list[ConjugateRecord]) -> IntPolynomial:
         partner = by_key.get(partner_key)
         if partner is None:
             raise InputError("records are not closed under complex conjugation")
-        if abs(partner.value - z.conjugate()) > abs(z) * bound:
+        # |partner - conj z|^2 > 2^(4-2p) |z|^2, exactly: the four raw parts as
+        # integers aligned to their least exponent (z is finite and non-zero)
+        parts = (*z._mpc_, *partner.value._mpc_)
+        low = min(exp for _, man, exp, _ in parts if man)
+        a, b, c, d = ((-man if s else man) << (exp - low) if man else 0 for s, man, exp, _ in parts)
+        if ((c - a) ** 2 + (d + b) ** 2) << 2 * p > (a * a + b * b) << 4:
             raise EvaluationError(
                 f"conjugate pair at form {key[0]}, vector {key[1].as_tuple()} "
                 f"disagrees beyond its error bound"
@@ -327,8 +334,12 @@ def minimal_polynomial(records: list[ConjugateRecord]) -> IntPolynomial:
 def siegel_ramachandra_invariant(
     d: Discriminant, N: int, precision: int = DEFAULT_PRECISION
 ) -> mpmath.mpc:
-    """g_{(0,1/N)}(theta)^{12N} at the standard generator theta, rounded to
-    precision + 64 bits; siegel_eval's "Rounded CM points" bounds the error."""
+    """y = g_{(0,1/N)}(theta)^{12N} = x^{-gcd(6, N)}, from the kernel's unrounded x at
+    theta rounded to precision + 64 bits, rounded once; siegel_eval's "The invariant"
+    and "Rounded CM points" bound the error.  d = -3 and -4 are accepted."""
     precision = context(precision).prec
-    tau = to_complex(theta(d), precision + DEFAULT_GUARD)
-    return siegel_power(0, 1, tau, N, "+", precision=precision, guard=DEFAULT_GUARD)
+    N = require_level(N)
+    work = precision + DEFAULT_GUARD
+    num, den, bits = _power_parts(0, 1, to_complex(theta(d), work)._mpc_, N, work)
+    g = gcd(6, N)
+    return _quotient(_pow(den, g, bits), _pow(num, g, bits), bits, context(precision))

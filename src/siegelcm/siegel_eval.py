@@ -32,16 +32,15 @@ and of zeta^j, which one expjpi builds per (N, W) and ``_roots`` memoizes.
 ``_form_tables`` is keyed on the raw tuple of tau rounded to precision +
 guard bits (``mpc_pos``), so a tau given at more bits reaches the entry
 of its rounding, and a call builds and hashes no mpc to find its entry.
-Both exponents e (-12N/gcd(6, N), and +12N) are even, so the lead factor
-needs no exponential: x = g^e = zeta^j r^k P^e with the integers
+The one exponent of a level, e = -12N/gcd(6, N), is even, so the lead
+factor needs no exponential: x = g^e = zeta^j r^k P^e with the integers
 j = e w (v-N) / (2N) and k = e (6v^2 - 6vN + N^2) / (12N).  r^k and P^e are
 binary powers of Gaussian integers with W-bit mantissas and a binary
 exponent, whose squares take (a + b)(a - b) and 2ab, the two integers
 that the general product forms for a + bi times itself, in two products
 instead of four; x is rounded once, to the stated precision.  k depends
-on v and e alone, so one memo per point, (v, e) -> (the D_c of v,
-r^|k|), keeps what ``_class_sums`` makes for the first vector that needs
-it.
+on v alone, so one memo per point, v -> (the D_c of v, r^|k|), keeps what
+``_class_sums`` makes for the first vector that needs it.
 
 Error budget, with work = precision + guard bits, relative to x at the mpc
 tau ``siegel_power`` is given, rounded to work bits: an error that tau
@@ -103,6 +102,11 @@ and a = v/N.
   |k|-fold and |e|-fold.  With |e| <= 12N and |k| <= N^2 the total before
   the last rounding is below (|e| + |k|) 2^{-work-1}, which the default 64
   guard bits hold under 2^{-precision-1} for every level N < 2^31.
+- The invariant.  ``siegel_ramachandra_invariant`` raises num and den of
+  x = num/den at (0, 1) to g = gcd(6, N) before the one last rounding:
+  y = (den/num)^g = g^{12N}.  As g |e| = 12N and g |k| = N^2 at v = 0, each
+  bound here and below holds for y with |e| + |k| read as 12N + N^2, and
+  the at most six more W-bit cuts of the g-th powers fit the same slack.
 
 The last rounding adds at most 2^{-precision-1}, so the total relative
 error of the result is below 2^-precision.
@@ -229,7 +233,7 @@ class _Tables(NamedTuple):
     rpow: tuple  # r^j = q^(j/N) for j <= N
     eta: tuple  # 1/prod_{m>=1} (1 - q^m)
     r: tuple  # r as a Gaussian float with W-bit mantissas, the base of r^k
-    per_v: dict  # (v, e) -> (((c, D_c), ...), r^|k|), filled as vectors need it
+    per_v: dict  # v -> (((c, D_c), ...), r^|k|), filled as vectors need it
 
 
 @functools.lru_cache(maxsize=8)
@@ -268,7 +272,7 @@ def _form_tables(point: tuple, level: int, work: int) -> _Tables:
 
 
 def _class_sums(tables: _Tables, v: int, k: int, level: int) -> tuple:
-    """((c, D_c), ...) and r^|k|, shared by every vector with this v and e.
+    """((c, D_c), ...) and r^|k|, shared by every vector with this v.
 
     D_c = r^(vc mod N) sum_{n = c mod N} (-1)^n q^(E div N) over the terms of
     S, E = N n(n-1)/2 + v n <= N M, from n = 0 up and n = -1 down, for the
@@ -287,14 +291,10 @@ def _class_sums(tables: _Tables, v: int, k: int, level: int) -> tuple:
     return classes, _pow(tables.r, abs(k), W)
 
 
-def power_exponent(level: int, exponent_sign: str = "-") -> int:
-    """The exponent used on g: -12N/gcd(6, N), or +12N for sign '+'."""
+def power_exponent(level: int) -> int:
+    """The one exponent on g at level N: e = -12N/gcd(6, N), even and negative."""
     level = require_level(level)
-    if exponent_sign == "-":
-        return -12 * level // gcd(6, level)
-    if exponent_sign == "+":
-        return 12 * level
-    raise InputError(f"exponent_sign must be '+' or '-', got {exponent_sign!r}")
+    return -12 * level // gcd(6, level)
 
 
 def siegel_power(
@@ -302,38 +302,41 @@ def siegel_power(
     w: int,
     tau,
     level: int,
-    exponent_sign: str = "-",
     precision: int = DEFAULT_PRECISION,
     guard: int = DEFAULT_GUARD,
 ):
-    """g_{(v/N, w/N)}(tau)^e for e = -12N/gcd(6, N), or +12N with sign '+'.
+    """g_{(v/N, w/N)}(tau)^e for the level's exponent e = -12N/gcd(6, N).
 
     (v, w) may be any integers (or integral values) not congruent to
-    (0, 0) mod N; they are reduced into [0,1)^2 before evaluating.  Both exponents make the result
-    depend only on the class of +-(v/N, w/N) mod Z^2, which is what allows
-    labelling conjugates by canonical vectors.  tau, a finite mpc or complex
-    in the upper half-plane, is rounded to precision + guard bits before use.
+    (0, 0) mod N; they are reduced into [0,1)^2 before evaluating.  The
+    exponent makes the result depend only on the class of +-(v/N, w/N) mod
+    Z^2, which is what allows labelling conjugates by canonical vectors.
+    tau, a finite mpc or complex in the upper half-plane, is rounded to
+    precision + guard bits before use.
     """
     level = require_level(level)
     if not (is_integral(v) and is_integral(w)) or (v % level == 0 and w % level == 0):
         raise InputError(f"(v, w) must be integers, not both 0 mod N, got ({v}, {w})")
-    v, w = int(v) % level, int(w) % level
     if not is_integral(guard) or guard < 0:
         raise InputError(f"guard must be an integer >= 0 bits, got {guard}")
-    e = power_exponent(level, exponent_sign)
     out = context(precision)
     work = out.prec + int(guard)
     point = tau._mpc_ if hasattr(tau, "_mpc_") else context(work).mpc(tau)._mpc_  # a complex has none
     point = re, im = mpc_pos(point, work, "n")
     if re in (finf, fninf, fnan) or im[0] or not im[1]:  # im[1], the mantissa, is 0 at 0, inf, nan
         raise InputError("tau must be a finite point of the upper half-plane")
+    return _quotient(*_power_parts(int(v) % level, int(w) % level, point, level, work), out)
+
+
+def _power_parts(v: int, w: int, point: tuple, level: int, work: int) -> tuple:
+    """(num, den, W), W-bit Gaussian floats with x = num/den, at residues (v, w) and a raw tau."""
     tables = _form_tables(point, level, work)
-    N, W, zeta = level, tables.bits, _roots(level, tables.bits)
-    # x = zeta^j r^k P^e; both quotients are exact for either exponent
+    N, W, zeta, e = level, tables.bits, _roots(level, tables.bits), power_exponent(level)
+    # x = zeta^j r^k P^e; both quotients are exact, as gcd(6, N) divides 6 and N
     k = e * (6 * v * v - 6 * v * N + N * N) // (12 * N)
-    entry = tables.per_v.get((v, e))
+    entry = tables.per_v.get(v)
     if entry is None:
-        entry = tables.per_v[v, e] = _class_sums(tables, v, k, N)
+        entry = tables.per_v[v] = _class_sums(tables, v, k, N)
     sums, rk = entry
 
     # S = sum_c zeta^(wc) D_c over the classes c = n mod N, with the twist
@@ -355,13 +358,17 @@ def siegel_power(
         si += (cj * (b + d) + sj * (a - c)) >> W
     pr, pi = _fmul((sr, si), tables.eta, W)
 
+    # e < 0, so P^e goes to den; r^k goes to either (6v^2 - 6vN + N^2 has no integer root)
     j = e * w * (v - N) // (2 * N) % N
-    # num and den start at 1 = (1, 0, 0); _mul of W-bit mantissas by it is exact
-    num, den = (*zeta[j], -W) if j else (1, 0, 0), (1, 0, 0)
-    for power, n in ((rk, k), (_pow((pr, pi, -W), abs(e), W), e)):
-        if n > 0:
-            num = _mul(num, power, W)
-        else:
-            den = _mul(den, power, W)
-    re, im, exp = _div(num, den, W)
+    num, den = (*zeta[j], -W) if j else (1, 0, 0), _pow((pr, pi, -W), -e, W)
+    if k > 0:
+        num = _mul(num, rk, W)  # exact when num is 1 = (1, 0, 0)
+    else:
+        den = _mul(den, rk, W)
+    return num, den, W
+
+
+def _quotient(num, den, bits: int, out):
+    """num/den, Gaussian floats with `bits`-bit mantissas, rounded once to out's precision."""
+    re, im, exp = _div(num, den, bits)
     return out.make_mpc((from_man_exp(re, exp, out.prec, "n"), from_man_exp(im, exp, out.prec, "n")))

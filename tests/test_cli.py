@@ -239,20 +239,21 @@ def test_rounded_matches_exact_integers(monkeypatch):
 
 def test_conjugate_text_flips_the_imaginary_sign():
     # exponents on either part, negative real parts, imaginary parts that
-    # print as 0.0: the text of conj(z) is format_complex's own
+    # print as 0.0: z and conj(z) share their parts, and either sign joins
+    # them into format_complex's own text
     rng = random.Random(7)
     for _ in range(400):
         ctx = context(rng.choice((16, 53, 64, 256)))
         re, im = (rng.choice((-1, 1)) * rng.random() * 10.0 ** rng.randint(-40, 40) for _ in range(2))
         z = ctx.mpc(re, im)
-        text = format_complex(z)
-        assert cli._conjugate_text(text) == format_complex(z.conjugate()), text
-        assert cli._conjugate_text(cli._conjugate_text(text)) == text
+        parts, negative = cli._parts(z), z._mpc_[1][0]
+        assert cli._parts(z.conjugate()) == parts
+        assert cli._joined(parts, not negative) == format_complex(z.conjugate()), parts
 
 
 @pytest.mark.parametrize("d, N, p", [(-56, 12, 64), (-71, 30, 256), (-1031, 7, 256)])
 def test_conjugate_rows_print_format_complex_of_every_record(d, N, p):
-    # rows render once per conjugate pair and flip the sign for the partner;
+    # rows render the parts once per conjugate pair and join each row's sign;
     # each row must still read format_complex of its own record
     records = conjugates(validate_discriminant(d), N, precision=p)
     texts = [row["value"] for row in cli._conjugate_rows(records)]

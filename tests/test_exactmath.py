@@ -8,11 +8,12 @@ import pytest
 from siegelcm import (
     InputError,
     QuadIrrational,
-    agreement_bits,
     context,
     to_complex,
 )
 from siegelcm.exactmath import conjugate_key
+
+from helpers import agreement_bits
 
 
 def test_quad_irrational_validation():

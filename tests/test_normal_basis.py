@@ -20,7 +20,6 @@ from siegelcm import (
     InputError,
     SnapFailureError,
     act_vector,
-    agreement_bits,
     beta_modN,
     check_criterion,
     conjugate_indices,
@@ -40,6 +39,7 @@ from siegelcm import (
 from siegelcm import normal_basis
 from siegelcm.normal_basis import _least_power
 
+from helpers import agreement_bits
 from oracles import oracle_siegel_g
 from test_siegel_eval import FROZEN_X1
 
@@ -102,7 +102,7 @@ def test_identity_record_first(records_20_6):
 
 def test_identity_record_matches_direct_evaluation(records_20_6):
     tau = to_complex(theta(D20), 256 + 64)
-    direct = siegel_power(0, 1, tau, 6, "-", precision=256, guard=64)
+    direct = siegel_power(0, 1, tau, 6, precision=256, guard=64)
     assert records_20_6[0].value == direct  # same code path, bit-identical
 
 
@@ -130,7 +130,7 @@ def test_mirrored_records_match_the_oracle():
     records = conjugates(validate_discriminant(-23), N, precision=p)
     chosen = [rec for rec in records if rec.form.b > 0]
     assert len(chosen) == 16
-    e = power_exponent(N, "-")
+    e = power_exponent(N)
     for rec in chosen:
         v, w = rec.vector.as_tuple()
         tau = context(work).mpc(to_complex(theta_of_form(rec.form), work))
@@ -148,7 +148,7 @@ def test_mirrored_records_match_direct_evaluation(d, N, p):
     for rec in records:
         v, w = rec.vector.as_tuple()
         tau = to_complex(theta_of_form(rec.form), 2 * p + 64)
-        direct = siegel_power(v, w, tau, N, "-", precision=2 * p)
+        direct = siegel_power(v, w, tau, N, precision=2 * p)
         assert agreement_bits(rec.value, direct) >= p, (rec.form, v, w)
 
 
@@ -386,14 +386,25 @@ def test_minimal_polynomial_needs_every_partner(records_20_6):
 
 @pytest.mark.parametrize("k", [0, 5])  # a real value, and one of a pair
 def test_minimal_polynomial_rejects_a_partner_off_its_bound(records_20_6, k):
+    # Im z moves by 2^(s-p) |z|: a pair's bound on |partner - conj z| is
+    # 2^(2-p) |z|, a real value's on |Im z| half of that, so half the bound
+    # passes and twice it or more fails
     p = 256
-    records = list(records_20_6)
-    z = records[k].value
     ctx = context(p)
-    shift = abs(z) * ctx.ldexp(1, 8 - p) * ctx.mpc(0, 1)
-    records[k] = dataclasses.replace(records[k], value=context(p).mpc(z + shift))
-    with pytest.raises(EvaluationError, match="error bound"):
-        minimal_polynomial(records)
+    rec = records_20_6[k]
+    z = rec.value
+    edge = 1 if normal_basis._partner(rec.form, rec.vector) == _key(rec) else 2
+
+    def shifted(s):
+        records = list(records_20_6)
+        shift = abs(z) * ctx.ldexp(1, s - p) * ctx.mpc(0, 1)
+        records[k] = dataclasses.replace(records[k], value=ctx.mpc(z + shift))
+        return records
+
+    assert minimal_polynomial(shifted(edge - 1)).coefficients == VERIFIED_POLY_20_6
+    for s in (edge + 1, 8):
+        with pytest.raises(EvaluationError, match="error bound"):
+            minimal_polynomial(shifted(s))
 
 
 def test_minimal_polynomial_precision_independent():
@@ -467,6 +478,20 @@ def test_invariant_identity_coprime_level():
     inv = siegel_ramachandra_invariant(D20, 5, precision=256)
     x1 = conjugates(D20, 5, precision=256)[0].value
     assert agreement_bits(inv, x1 ** -1) >= 200
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5, 6, 30])
+@pytest.mark.parametrize("d", [-3, -4, -7, -20])
+def test_invariant_matches_the_oracle_power(d, N):
+    # the invariant is taken from x, so the identities above compare the
+    # library with itself; this one raises the oracle's own q-product to the
+    # 12N at 512 bits, on the two fields with extra units too
+    inv = siegel_ramachandra_invariant(validate_discriminant(d), N, precision=256)
+    ctx = context(512)
+    tau = ctx.mpc(to_complex(theta(validate_discriminant(d)), 512))
+    with mpmath.workprec(512):
+        ref = ctx.mpc(oracle_siegel_g(Fraction(0), Fraction(1, N), tau) ** (12 * N))
+    assert agreement_bits(inv, ref) >= 240
 
 
 def test_invariant_frozen_value():

@@ -15,7 +15,6 @@ from siegelcm import (
     InputError,
     QuadForm,
     QuadIrrational,
-    agreement_bits,
     conjugates,
     context,
     power_exponent,
@@ -29,6 +28,7 @@ from siegelcm import (
 )
 from siegelcm import siegel_eval
 
+from helpers import agreement_bits
 from oracles import oracle_siegel_g
 
 TAU_I = context(320).mpc(0, 1)
@@ -50,7 +50,7 @@ FROZEN_X1 = (
 def test_quarter_power_of_two_value():
     # at ((0, 1/2), i) the value of g is exactly i * 2^(1/4), so its -12th
     # power is (i * 2^(1/4))^-12 = 2^-3
-    val = siegel_power(0, 1, TAU_I, 2, "-", precision=256)
+    val = siegel_power(0, 1, TAU_I, 2, precision=256)
     assert agreement_bits(val, context(256).mpc(mpmath.mpf(1) / 8)) >= 250
 
 
@@ -63,7 +63,7 @@ def test_matches_bruteforce_oracle():
         (1, 0, 3, TAU_I, -12),
     ]
     for v, w, N, tau, e in cases:
-        ours = siegel_power(v, w, tau, N, "-", precision=256)
+        ours = siegel_power(v, w, tau, N, precision=256)
         with mpmath.workprec(512):
             ref = oracle_siegel_g(Fraction(v, N), Fraction(w, N), context(512).mpc(tau)) ** e
         assert agreement_bits(ours, context(256).mpc(ref)) >= 250
@@ -85,13 +85,13 @@ def test_matches_theta_quotient_route():
         theta1 = mpmath.jtheta(1, mpmath.pi * z, mpmath.exp(1j * mpmath.pi * tau))
         eighth = mpmath.exp(2j * mpmath.pi * tau / 8)
         ref = (lead * 1j * mpmath.exp(1j * mpmath.pi * z) * theta1 / (eighth * mpmath.qp(q))) ** -12
-    ours = siegel_power(1, 2, tau_big, 6, "-", precision=256)
+    ours = siegel_power(1, 2, tau_big, 6, precision=256)
     assert agreement_bits(ours, context(256).mpc(ref)) >= 245
 
 
 def test_frozen_regression_constant():
     # g is i * FROZEN_G16_IMAG, so its -12th power is FROZEN_G16_IMAG^-12
-    val = siegel_power(0, 1, SQRT5_I, 6, "-", precision=256)
+    val = siegel_power(0, 1, SQRT5_I, 6, precision=256)
     ctx = context(300)
     frozen = ctx.mpf(FROZEN_G16_IMAG) ** -12
     assert abs(val.imag) < frozen * ctx.mpf(2) ** -240
@@ -100,8 +100,8 @@ def test_frozen_regression_constant():
 
 @pytest.mark.parametrize("prec", [64, 128, 256])
 def test_double_precision_self_consistency(prec):
-    lo = siegel_power(1, 3, SQRT5_I, 7, "-", precision=prec)
-    hi = siegel_power(1, 3, SQRT5_I, 7, "-", precision=2 * prec)
+    lo = siegel_power(1, 3, SQRT5_I, 7, precision=prec)
+    hi = siegel_power(1, 3, SQRT5_I, 7, precision=2 * prec)
     assert agreement_bits(lo, hi) >= prec - 4
 
 
@@ -116,7 +116,7 @@ def test_truncation_soundness(monkeypatch):
     # sqrt(2), so U, and with it W, by less than one bit
     key = (SQRT5_I._mpc_, 6, 320)  # the raw point _form_tables is keyed on, at work bits
     vectors = [(0, 1), (1, 2)]
-    chosen = [siegel_power(v, w, SQRT5_I, 6, "-", precision=320, guard=0) for v, w in vectors]
+    chosen = [siegel_power(v, w, SQRT5_I, 6, precision=320, guard=0) for v, w in vectors]
     with mpmath.workprec(640):
         for (v, w), value in zip(vectors, chosen):
             ref = oracle_siegel_g(Fraction(v, 6), Fraction(w, 6), context(640).mpc(SQRT5_I), 100, 640) ** -12
@@ -127,7 +127,7 @@ def test_truncation_soundness(monkeypatch):
     monkeypatch.setattr(siegel_eval, "_budget", lambda *args: (2 * budget(*args)[0], budget(*args)[1] + 1))
     siegel_eval._form_tables.cache_clear()
     try:
-        doubled = [siegel_power(v, w, SQRT5_I, 6, "-", precision=320, guard=0) for v, w in vectors]
+        doubled = [siegel_power(v, w, SQRT5_I, 6, precision=320, guard=0) for v, w in vectors]
         tables = siegel_eval._form_tables(*key)
         assert (len(tables.qpow), tables.bits) == (2 * m + 1, bits + 1)
     finally:
@@ -157,8 +157,16 @@ def test_float_truncation_index_is_the_exact_formula():
             assert siegel_eval._budget(tau, N, work)[0] == m, (Q, N, work)
 
 
+def _invariant_route(v, w, tau, N, p):
+    # x^(-gcd(6, N)) = g^(12N) as siegel_ramachandra_invariant takes it at
+    # (0, 1): the kernel's num and den of x, each to the gcd, rounded once
+    num, den, bits = siegel_eval._power_parts(v, w, tau._mpc_, N, p + 64)
+    g = math.gcd(6, N)
+    return siegel_eval._quotient(siegel_eval._pow(den, g, bits), siegel_eval._pow(num, g, bits), bits, context(p))
+
+
 @pytest.mark.parametrize(
-    "d, N, sign, p, pick, terms",
+    "d, N, power, p, pick, terms",
     [
         (-71, 30, "-", 256, max, 200),  # N = 30, v up to N - 1, the least Im tau
         (-71, 30, "+", 256, max, 200),
@@ -168,16 +176,18 @@ def test_float_truncation_index_is_the_exact_formula():
         (-1031, 7, "+", 256, max, 200),  # odd N: every twist but T_0 in a pair
     ],
 )
-def test_siegel_power_matches_oracle_on_a_whole_form(d, N, sign, p, pick, terms):
-    # every vector of one form, against the oracle's power at 2p bits
+def test_siegel_power_matches_oracle_on_a_whole_form(d, N, power, p, pick, terms):
+    # every vector of one form, against the oracle's power at 2p bits: "-"
+    # is x = g^e itself, "+" is g^(12N) = x^(-gcd(6, N)) by the invariant's
+    # route, also at vectors whose r^k goes to num, which (0, 1) never reaches
     records = conjugates(validate_discriminant(d), N, precision=64)
     form = pick(rec.form.as_tuple() for rec in records)
     chosen = [rec for rec in records if rec.form.as_tuple() == form]
     tau = to_complex(theta_of_form(chosen[0].form), p + 64)
-    e = power_exponent(N, sign)
+    e = power_exponent(N) if power == "-" else 12 * N
     for rec in chosen:
         v, w = rec.vector.as_tuple()
-        ours = siegel_power(v, w, tau, N, sign, precision=p)
+        ours = siegel_power(v, w, tau, N, precision=p) if power == "-" else _invariant_route(v, w, tau, N, p)
         with mpmath.workprec(2 * p):
             g = oracle_siegel_g(Fraction(v, N), Fraction(w, N), context(2 * p).mpc(tau), terms, 2 * p)
             ref = context(2 * p).mpc(g**e)
@@ -191,7 +201,7 @@ def test_values_do_not_depend_on_the_table_cache():
 
     def again(rec):
         v, w = rec.vector.as_tuple()
-        return siegel_power(v, w, to_complex(theta_of_form(rec.form), 192), 30, "-", precision=128)
+        return siegel_power(v, w, to_complex(theta_of_form(rec.form), 192), 30, precision=128)
 
     for rec in records[::7]:
         siegel_eval._form_tables.cache_clear()
@@ -242,25 +252,24 @@ def test_squares_are_the_integers_of_mul():
 
 
 def test_cached_powers_of_r_are_bit_identical():
-    # the tables keep r^|k| per (v, e); a warm cache must give the cold bits
+    # the tables keep r^|k| per v; a warm cache must give the cold bits
     d, N, p = validate_discriminant(-1031), 7, 256
     form = reduced_forms(d)[1]
     tau = to_complex(theta_of_form(form), p + 64)
-    calls = [(v, w, "-") for v in range(N) for w in range(N) if v or w] + [(0, 1, "+"), (3, 2, "+")]
+    calls = [(v, w) for v in range(N) for w in range(N) if v or w]
 
-    def cold(v, w, sign):
+    def cold(v, w):
         siegel_eval._form_tables.cache_clear()
-        return siegel_power(v, w, tau, N, sign, precision=p)._mpc_
+        return siegel_power(v, w, tau, N, precision=p)._mpc_
 
     fresh = [cold(*call) for call in calls]
     siegel_eval._form_tables.cache_clear()
-    warm = [siegel_power(v, w, tau, N, sign, precision=p)._mpc_ for v, w, sign in calls]
+    warm = [siegel_power(v, w, tau, N, precision=p)._mpc_ for v, w in calls]
     assert warm == fresh
-    # one entry per (v, e), and k depends on v through v (N - v) alone
+    # one entry per v, and k depends on v through v (N - v) alone
     tables = siegel_eval._form_tables(tau._mpc_, N, p + 64)
-    e, plus = power_exponent(N), power_exponent(N, "+")
-    assert set(tables.per_v) == {(v, e) for v in range(N)} | {(0, plus), (3, plus)}
-    assert all(tables.per_v[v, e][1] == tables.per_v[N - v, e][1] for v in range(1, N))
+    assert set(tables.per_v) == set(range(N))
+    assert all(tables.per_v[v][1] == tables.per_v[N - v][1] for v in range(1, N))
 
 
 def test_roots_are_the_expjpi_ladder_and_shared_per_level_and_scale():
@@ -295,7 +304,7 @@ def test_class_sums_hold_one_entry_per_v():
     for rec in chosen:
         siegel_power(*rec.vector.as_tuple(), tau, N, precision=p)
     tables = siegel_eval._form_tables(tau._mpc_, N, p + 64)
-    assert set(tables.per_v) == {(rec.vector.v, power_exponent(N)) for rec in chosen}
+    assert set(tables.per_v) == {rec.vector.v for rec in chosen}
     for key, (sums, _) in tables.per_v.items():
         assert 0 < len(sums) <= 2 * math.isqrt(2 * (len(tables.qpow) - 1)) + 3, key
         assert len({c for c, _ in sums}) == len(sums)
@@ -306,7 +315,7 @@ def test_large_imaginary_part_keeps_the_precision(imag):
     # the exponent of r carries log2 Im tau more bits, and the budget clamps
     # Im tau from above, so neither the accuracy nor a float overflows
     tau = context(256).mpc(mpmath.mpc("0.25", imag))
-    ours = siegel_power(0, 1, tau, 6, "-", precision=64)
+    ours = siegel_power(0, 1, tau, 6, precision=64)
     bits = 128 + int(mpmath.ceil(mpmath.log(mpmath.mpf(imag), 2))) + 64
     with mpmath.workprec(bits):
         ref = oracle_siegel_g(Fraction(0), Fraction(1, 6), context(bits).mpc(tau), 50, bits) ** -12
@@ -314,14 +323,10 @@ def test_large_imaginary_part_keeps_the_precision(imag):
 
 
 def test_power_exponent():
-    assert power_exponent(6, "-") == -12
-    assert power_exponent(5, "-") == -60
-    assert power_exponent(4, "-") == -24
-    assert power_exponent(2, "-") == -12
-    assert power_exponent(6, "+") == 72
-    assert power_exponent(5, "+") == 60
-    with pytest.raises(InputError):
-        power_exponent(6, "*")
+    assert power_exponent(6) == -12
+    assert power_exponent(5) == -60
+    assert power_exponent(4) == -24
+    assert power_exponent(2) == -12
     # the level follows the one level rule: integral and >= 2
     assert power_exponent(6.0) == -12
     for level in ("6", 1, 0, -6, True):
@@ -330,7 +335,7 @@ def test_power_exponent():
 
 
 def test_siegel_power_matches_oracle_power():
-    ours = siegel_power(0, 1, SQRT5_I, 6, "-", precision=256)
+    ours = siegel_power(0, 1, SQRT5_I, 6, precision=256)
     with mpmath.workprec(512):
         ref = oracle_siegel_g(Fraction(0), Fraction(1, 6), context(512).mpc(SQRT5_I)) ** -12
     assert agreement_bits(ours, context(256).mpc(ref)) >= 245
@@ -340,23 +345,24 @@ def test_siegel_power_matches_oracle_power():
 
 def test_siegel_power_sign_invariance():
     # (0, N-1) = -(0, 1): same value through a different evaluation path
-    a = siegel_power(0, 1, SQRT5_I, 6, "-", precision=256)
-    b = siegel_power(0, 5, SQRT5_I, 6, "-", precision=256)
+    a = siegel_power(0, 1, SQRT5_I, 6, precision=256)
+    b = siegel_power(0, 5, SQRT5_I, 6, precision=256)
     assert agreement_bits(a, b) >= 248
-    c = siegel_power(2, 3, SQRT5_I, 6, "-", precision=256)
-    d = siegel_power(4, 3, SQRT5_I, 6, "-", precision=256)
+    c = siegel_power(2, 3, SQRT5_I, 6, precision=256)
+    d = siegel_power(4, 3, SQRT5_I, 6, precision=256)
     assert agreement_bits(c, d) >= 248
 
 
 def test_siegel_power_mod_translation_invariance():
-    a = siegel_power(0, 1, SQRT5_I, 6, "-", precision=256)
+    a = siegel_power(0, 1, SQRT5_I, 6, precision=256)
     for k in (1, 2, -3):
-        b = siegel_power(6 * k, 1 + 6 * k, SQRT5_I, 6, "-", precision=256)
+        b = siegel_power(6 * k, 1 + 6 * k, SQRT5_I, 6, precision=256)
         assert a == b  # reduced before evaluation: bit-identical
 
 
 def test_siegel_power_plus_sign():
-    plus = siegel_power(0, 1, SQRT5_I, 6, "+", precision=256)
+    # the 12N-th power of g is the -gcd(6, N)-th power of x = g^e
+    plus = siegel_power(0, 1, SQRT5_I, 6, precision=256) ** -6
     with mpmath.workprec(512):
         ref = oracle_siegel_g(Fraction(0), Fraction(1, 6), context(512).mpc(SQRT5_I)) ** 72
     assert agreement_bits(plus, context(256).mpc(ref)) >= 240
@@ -364,37 +370,37 @@ def test_siegel_power_plus_sign():
 
 def test_siegel_power_rejects_zero_vector():
     with pytest.raises(InputError):
-        siegel_power(6, 12, SQRT5_I, 6, "-")
+        siegel_power(6, 12, SQRT5_I, 6)
     with pytest.raises(InputError):
-        siegel_power(0, 1, SQRT5_I, 1, "-")
+        siegel_power(0, 1, SQRT5_I, 1)
 
 
 def test_params_validation():
     low = context(128).mpc(0, -1)
     with pytest.raises(InputError):
-        siegel_power(0, 1, low, 2, "-")
+        siegel_power(0, 1, low, 2)
     with pytest.raises(InputError):
-        siegel_power(0, 1, TAU_I, 2, "-", precision=1)
+        siegel_power(0, 1, TAU_I, 2, precision=1)
     with pytest.raises(InputError):
-        siegel_power(0, 1, TAU_I, 2, "-", guard=-1)
+        siegel_power(0, 1, TAU_I, 2, guard=-1)
     for guard in (0.5, float("nan"), float("inf")):
         with pytest.raises(InputError, match="guard must be an integer"):
-            siegel_power(0, 1, TAU_I, 2, "-", guard=guard)
+            siegel_power(0, 1, TAU_I, 2, guard=guard)
     for level in (float("nan"), float("inf")):
         with pytest.raises(InputError, match="level must be an integer"):
-            siegel_power(0, 1, TAU_I, level, "-")
+            siegel_power(0, 1, TAU_I, level)
     for v in (float("nan"), float("inf")):
         with pytest.raises(InputError, match="must be integers"):
-            siegel_power(v, 1, TAU_I, 6, "-")
+            siegel_power(v, 1, TAU_I, 6)
     with pytest.raises(InputError):
-        siegel_power(0, 1, TAU_I, 6.9, "-")  # not truncated to level 6
+        siegel_power(0, 1, TAU_I, 6.9)  # not truncated to level 6
     with pytest.raises(InputError, match="integer >= 2 bits"):
-        siegel_power(0, 1, TAU_I, 6, "-", precision=256.5)  # not truncated to 256
+        siegel_power(0, 1, TAU_I, 6, precision=256.5)  # not truncated to 256
     with pytest.raises(InputError, match="must be integers"):
-        siegel_power(0.5, 1, TAU_I, 6, "-")
+        siegel_power(0.5, 1, TAU_I, 6)
     # integral entries follow the level's rule and are accepted
-    assert siegel_power(1.0, 1, TAU_I, 6, "-") == siegel_power(1, 1, TAU_I, 6, "-")
-    assert siegel_power(1, 1, 1j, 6, "-") == siegel_power(1, 1, TAU_I, 6, "-")  # a Python complex tau
+    assert siegel_power(1.0, 1, TAU_I, 6) == siegel_power(1, 1, TAU_I, 6)
+    assert siegel_power(1, 1, 1j, 6) == siegel_power(1, 1, TAU_I, 6)  # a Python complex tau
     with pytest.raises(InputError, match="integer >= 2 bits"):
         conjugates(validate_discriminant(-20), 6, precision=256.5)
 
@@ -413,7 +419,7 @@ _C64 = context(64)
 )
 def test_tau_must_be_a_finite_point_of_the_upper_half_plane(tau):
     with pytest.raises(InputError, match="tau must be a finite point of the upper half-plane"):
-        siegel_power(0, 1, tau, 6, "-", precision=64)
+        siegel_power(0, 1, tau, 6, precision=64)
 
 
 def test_an_integral_float_precision_is_its_integer():
@@ -453,10 +459,10 @@ def test_precision_unachievable_on_tiny_imaginary_part():
     for imag, message in cases:
         thin = context(256).mpc(mpmath.mpc(0, imag))
         with pytest.raises(EvaluationError, match=message):
-            siegel_power(0, 1, thin, 2, "-")
+            siegel_power(0, 1, thin, 2)
     # Im tau = 0.01 at 64+16 bits needs M = 2319 terms, within the cap
     low = context(256).mpc(mpmath.mpc(0, "0.01"))
-    val = siegel_power(0, 1, low, 2, "-", precision=64, guard=16)
+    val = siegel_power(0, 1, low, 2, precision=64, guard=16)
     assert abs(val) > 0
 
 
