@@ -16,7 +16,6 @@ from .normal_basis import (
     check_criterion,
     conjugates,
     minimal_polynomial,
-    siegel_ramachandra_invariant,
 )
 from .quadforms import (
     QuadForm,
@@ -35,7 +34,7 @@ from .reciprocity import (
     conjugate_indices,
     w_group,
 )
-from .siegel_eval import power_exponent, siegel_power
+from .siegel_eval import power_exponent, siegel_power, siegel_ramachandra_invariant
 
 __version__ = "0.1.0"
 

@@ -42,9 +42,9 @@ from .normal_basis import (
     check_criterion,
     conjugates,
     minimal_polynomial,
-    siegel_ramachandra_invariant,
 )
 from .quadforms import reduced_forms, validate_discriminant
+from .siegel_eval import siegel_ramachandra_invariant
 
 SCHEMA_VERSION = 6
 SUBCOMMANDS = ("forms", "conjugates", "normal-basis", "minpoly", "invariant")
@@ -65,8 +65,7 @@ class RunConfig:
         if self.precision < MIN_PRECISION:
             raise InputError(f"precision must be >= {MIN_PRECISION} bits")
         if self.level is not None:
-            require_level(self.level)
-            require_integers(self, "level")
+            object.__setattr__(self, "level", require_level(self.level))
         elif self.subcommand != "forms":
             raise InputError("level must be an integer >= 2")
 

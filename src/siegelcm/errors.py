@@ -5,13 +5,13 @@ discriminant that is not an integer, negative, 0 or 1 mod 4 and fundamental
 (``Discriminant``), one passed as anything but a ``Discriminant``, such as
 a bare int (``reduced_forms``, ``principal_form`` and all that call them),
 d in {-3, -4} (``w_group``), a level that is not an integer >= 2
-(``exactmath.require_level``, which ``power_exponent`` and
-``siegel_ramachandra_invariant`` apply too), a precision that is not an
+(``exactmath.require_level``, which ``siegel_eval``'s ``power_exponent``
+and ``siegel_ramachandra_invariant`` apply too), a precision that is not an
 integer >= 2 (``exactmath.context``), a value
 outside the invariants of ``QuadIrrational`` or ``QuadForm``, a
 non-integral field of any value type (``exactmath.require_integers``), a
 ``MatrixModN`` that is not invertible mod N, a zero ``FracVector`` mod Z^2
-(either takes any representative and stores it reduced), mismatched moduli,
+(either takes any representative and stores its class mod +-1), mismatched moduli,
 an empty record list or one that repeats a (form, vector) pair
 (``check_criterion``, ``minimal_polynomial``), records that do not start
 with the base value or whose count is not h(d) #W/{+-1}

@@ -1,10 +1,10 @@
 """Reciprocity matrices: local case tables, their CRT lift, and the W group.
 
-Everything here lives in GL_2(Z/NZ) modulo +-identity.  A total,
-deterministic choice of representative is needed for equality tests and
-stable output: between M and -M (entries as least nonnegative residues) we
-keep the lexicographically smaller entry tuple (m11, m12, m21, m22).  For
-N = 2 the two candidates coincide and the rule is vacuously the identity.
+Everything here lives in GL_2(Z/NZ) modulo +-identity.  ``MatrixModN``
+stores each class as one representative, so equality, hashing and products
+act on the classes: between M and -M (entries as least nonnegative
+residues) it keeps the lexicographically smaller entry tuple (m11, m12,
+m21, m22).  For N = 2 the two candidates coincide.
 
 Row vectors (v/N, w/N) are acted on from the right and identified modulo
 Z^2 and modulo sign; the representative keeps the lexicographically
@@ -25,7 +25,8 @@ IntMatrix = tuple[tuple[int, int], tuple[int, int]]
 
 @dataclass(frozen=True)
 class MatrixModN:
-    """An invertible 2x2 matrix over Z/NZ; any integer entries are stored as residues in [0, N)."""
+    """An invertible 2x2 matrix over Z/NZ modulo +-1; any integer representative is stored
+    as its class's matrix, the smaller entry tuple of M and -M as residues in [0, N)."""
 
     m11: int
     m12: int
@@ -36,8 +37,9 @@ class MatrixModN:
     def __post_init__(self):
         require_integers(self, "m11", "m12", "m21", "m22", "modulus")
         n = require_level(self.modulus)
-        for name in ("m11", "m12", "m21", "m22"):
-            object.__setattr__(self, name, getattr(self, name) % n)
+        m = tuple(e % n for e in self.entries())
+        for name, e in zip(("m11", "m12", "m21", "m22"), min(m, tuple(-e % n for e in m))):
+            object.__setattr__(self, name, e)
         if gcd(self.det(), n) != 1:
             raise InputError(f"matrix {self.entries()} is not invertible mod {n}")
 
@@ -49,11 +51,6 @@ class MatrixModN:
 
     def det(self) -> int:
         return (self.m11 * self.m22 - self.m12 * self.m21) % self.modulus
-
-    def canonical(self) -> "MatrixModN":
-        """The +-1 class representative: lexicographically smaller of M, -M."""
-        neg = tuple((-e) % self.modulus for e in self.entries())
-        return MatrixModN(*min(self.entries(), neg), self.modulus)
 
     def __mul__(self, other: "MatrixModN") -> "MatrixModN":
         if self.modulus != other.modulus:
@@ -127,13 +124,12 @@ def _prime_powers(N: int) -> list[tuple[int, int]]:
 
 
 def beta_modN(Q: QuadForm, N: int) -> MatrixModN:
-    """Glue the local matrices mod p^e along every p^e || N, canonically.
+    """Glue the local matrices mod p^e along every p^e || N into one class.
 
     One Chinese-remainder pass lifts the whole matrix: with rest = N/p^e,
     e_p = rest * (rest^-1 mod p^e) is 1 mod p^e and 0 mod N/p^e, so
     sum_p e_p beta_local(Q, p) agrees with each local matrix mod its p^e.
-    The result is invertible mod N and returned as its +-1 class
-    representative.
+    The result is invertible mod N; ``MatrixModN`` stores its +-1 class.
     """
     N = require_level(N)
     beta = (0, 0, 0, 0)
@@ -142,7 +138,7 @@ def beta_modN(Q: QuadForm, N: int) -> MatrixModN:
         e_p = rest * pow(rest, -1, pe)
         (m11, m12), (m21, m22) = beta_local(Q, p)
         beta = tuple(x + e_p * m for x, m in zip(beta, (m11, m12, m21, m22)))
-    return MatrixModN(*beta, N).canonical()
+    return MatrixModN(*beta, N)
 
 
 def w_group(d: Discriminant, N: int) -> list[MatrixModN]:
@@ -151,24 +147,22 @@ def w_group(d: Discriminant, N: int) -> list[MatrixModN]:
     B and C come from the principal form (1, B, C), so the matrix is the
     action of t + s theta on the basis (theta, 1).  Runs over (t, s) in
     (Z/N)^2 keeping its determinant, the norm t^2 - Bst + Cs^2, prime to N,
-    and returns each class once as its canonical matrix, whose bottom row
-    (m21, m22) is (s, t) again.  Deterministic order: identity first, then
-    lexicographic in (t, s) = (m22, m21).  Rejects d in {-3, -4}, where
-    the class count would overstate the Galois group.
+    and takes each pair +-(t, s) once, as (t, s) <= (-t, -s), so each class
+    comes once, as the matrix ``MatrixModN`` stores (bottom row +-(s, t)).
+    Order: identity first, then lexicographic in (m22, m21).  Rejects d in
+    {-3, -4}, where the class count would overstate the Galois group.
     """
     N = require_level(N)
     _, B, C = principal_form(d).as_tuple()
     if d.d in (-3, -4):
         raise InputError(f"d = {d.d} needs extra units; index set unsupported")
-    # each class as the smaller of its two entry tuples, as canonical() picks
-    classes = set()
-    for t in range(N):
-        for s in range(N):
-            if gcd(t * t - B * s * t + C * s * s, N) == 1:
-                m = ((t - B * s) % N, -C * s % N, s, t)
-                classes.add(min(m, tuple(-e % N for e in m)))
-    order = sorted(classes, key=lambda m: (m != (1, 0, 0, 1), m[3], m[2]))
-    return [MatrixModN(*m, N) for m in order]
+    group = [
+        MatrixModN(t - B * s, -C * s, s, t, N)
+        for t in range(N)
+        for s in range(N)
+        if (t, s) <= (-t % N, -s % N) and gcd(t * t - B * s * t + C * s * s, N) == 1
+    ]
+    return sorted(group, key=lambda m: (not m.is_identity(), m.m22, m.m21))
 
 
 def _w_order(d: Discriminant, N: int) -> int:

@@ -102,8 +102,9 @@ and a = v/N.
   |k|-fold and |e|-fold.  With |e| <= 12N and |k| <= N^2 the total before
   the last rounding is below (|e| + |k|) 2^{-work-1}, which the default 64
   guard bits hold under 2^{-precision-1} for every level N < 2^31.
-- The invariant.  ``siegel_ramachandra_invariant`` raises num and den of
-  x = num/den at (0, 1) to g = gcd(6, N) before the one last rounding:
+- The invariant.  ``siegel_ramachandra_invariant``, the module's other
+  entry, raises den and num of the kernel's unrounded x = num/den at
+  (0, 1) and theta to g = gcd(6, N) before the one last rounding:
   y = (den/num)^g = g^{12N}.  As g |e| = 12N and g |k| = N^2 at v = 0, each
   bound here and below holds for y with |e| + |k| read as 12N + N^2, and
   the at most six more W-bit cuts of the g-th powers fit the same slack.
@@ -133,10 +134,12 @@ import math
 from math import gcd
 from typing import NamedTuple
 
+import mpmath
 from mpmath.libmp import finf, fnan, fninf, from_man_exp, mpc_pos, to_fixed
 
 from .errors import EvaluationError, InputError
-from .exactmath import DEFAULT_GUARD, DEFAULT_PRECISION, context, is_integral, require_level
+from .exactmath import DEFAULT_GUARD, DEFAULT_PRECISION, context, is_integral, require_level, to_complex
+from .quadforms import Discriminant, theta
 
 # Reduced CM points have Im tau >= sqrt(3)/2, where M is about bits / 8; the
 # cap only trips on near-real direct calls.
@@ -326,6 +329,20 @@ def siegel_power(
     if re in (finf, fninf, fnan) or im[0] or not im[1]:  # im[1], the mantissa, is 0 at 0, inf, nan
         raise InputError("tau must be a finite point of the upper half-plane")
     return _quotient(*_power_parts(int(v) % level, int(w) % level, point, level, work), out)
+
+
+def siegel_ramachandra_invariant(
+    d: Discriminant, N: int, precision: int = DEFAULT_PRECISION
+) -> mpmath.mpc:
+    """y = g_{(0,1/N)}(theta)^{12N} = x^{-gcd(6, N)}, from the kernel's unrounded x at
+    theta rounded to precision + 64 bits, rounded once; the module's "The invariant"
+    and "Rounded CM points" bound the error.  d = -3 and -4 are accepted."""
+    precision = context(precision).prec
+    N = require_level(N)
+    work = precision + DEFAULT_GUARD
+    num, den, bits = _power_parts(0, 1, to_complex(theta(d), work)._mpc_, N, work)
+    g = gcd(6, N)
+    return _quotient(_pow(den, g, bits), _pow(num, g, bits), bits, context(precision))
 
 
 def _power_parts(v: int, w: int, point: tuple, level: int, work: int) -> tuple:

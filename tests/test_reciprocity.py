@@ -165,22 +165,24 @@ def _kronecker(d: int, p: int) -> int:
 
 
 def test_w_group_matches_canonical_matrices_and_the_closed_form():
-    # against a reference set made with MatrixModN(...).canonical() for
-    # every unit (t, s), and against #W/{+-1} = phi_K(N)/2 for N > 2 and
-    # phi_K(2) for N = 2, phi_K(N) = N^2 prod_{p | N} (1 - 1/p)(1 - chi_d(p)/p),
-    # which the library's _w_order computes by counting roots mod p instead
+    # against a reference set of plain entry tuples, for every unit (t, s)
+    # the smaller of its matrix's residues and their negation, and against
+    # #W/{+-1} = phi_K(N)/2 for N > 2 and phi_K(2) for N = 2,
+    # phi_K(N) = N^2 prod_{p | N} (1 - 1/p)(1 - chi_d(p)/p), which the
+    # library's _w_order computes by counting roots mod p instead
     for d_int in (-7, -8, -15, -20, -23, -24, -31, -39, -40, -55, -56, -71):
         d = validate_discriminant(d_int)
         _, b, c = principal_form(d).as_tuple()
         for N in range(2, 19):
             group = w_group(d, N)
-            reference = {
-                MatrixModN(t - b * s, -c * s, s, t, N).canonical()
-                for t in range(N)
-                for s in range(N)
-                if gcd(t * t - b * s * t + c * s * s, N) == 1
-            }
-            assert set(group) == reference and len(group) == len(reference), (d_int, N)
+            reference = set()
+            for t in range(N):
+                for s in range(N):
+                    if gcd(t * t - b * s * t + c * s * s, N) == 1:
+                        m = ((t - b * s) % N, -c * s % N, s, t)
+                        reference.add(min(m, tuple(-e % N for e in m)))
+            entries = [m.entries() for m in group]
+            assert set(entries) == reference and len(entries) == len(reference), (d_int, N)
             assert group[0].is_identity()
             assert [(m.m22, m.m21) for m in group[1:]] == sorted((m.m22, m.m21) for m in group[1:])
             phi = N * N
@@ -198,7 +200,10 @@ def test_w_elements_have_w_shape_and_unit_det():
             assert m.m11 == (t - b * s) % N
             assert m.m12 == (-c * s) % N
             assert gcd(m.det(), N) == 1
-            assert m.canonical() == m
+            # stored as the class's matrix: -M names the same class, and
+            # M's residues are the smaller of the two entry tuples
+            neg = tuple(-e % N for e in m.entries())
+            assert MatrixModN(*neg, N) == m and m.entries() == min(m.entries(), neg)
 
 
 def test_act_vector_examples():
@@ -288,8 +293,33 @@ def test_matrix_modn_validation():
     # an integral float modulus is stored as its int
     m = MatrixModN(1, 0, 0, 1, 6.0)
     assert m == MatrixModN(1, 0, 0, 1, 6) and type(m.modulus) is int
-    m = MatrixModN(5, 1, 3, 4, 6)
-    assert m.canonical().entries() == (1, 5, 3, 2)
+    # stored as the smaller of (5, 1, 3, 4) and its negation (1, 5, 3, 2)
+    assert MatrixModN(5, 1, 3, 4, 6).entries() == (1, 5, 3, 2)
+    assert MatrixModN(5, 1, 3, 4, 6) == MatrixModN(1, 5, 3, 2, 6)
+
+
+def test_matrix_modn_is_its_class_mod_plus_minus_one():
+    scalar, identity = MatrixModN(5, 0, 0, 5, 6), MatrixModN(1, 0, 0, 1, 6)
+    assert scalar == identity and hash(scalar) == hash(identity)
+    assert scalar.is_identity() and scalar.entries() == (1, 0, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "d_int, N",
+    [(-20, 6), (-7, 8), (-23, 9), (-8, 12), (-1031, 7), (-71, 30), (-15, 2)],
+)
+def test_w_group_is_a_group_mod_plus_minus_one(d_int, N):
+    # W/{+-1} is closed under products and inverses: every product of two
+    # classes is a class of the list, and every class has an inverse there
+    group = w_group(validate_discriminant(d_int), N)
+    identity = MatrixModN(1, 0, 0, 1, N)
+    assert group[0] == identity
+    members = set(group)
+    assert len(members) == len(group)
+    for x in group:
+        products = {x * y for y in group}
+        assert products <= members, (d_int, N, x.entries())
+        assert identity in products, (d_int, N, x.entries())
 
 
 def test_conjugate_indices_counts_and_first():
