@@ -232,19 +232,17 @@ def render_json(config: RunConfig, result: dict) -> str:
     return json.dumps({"schema": SCHEMA_VERSION, "config": vars(config), "result": result})
 
 
-def run(config: RunConfig, stdout=None, stderr=None) -> int:
+def run(config: RunConfig) -> int:
     """Execute one configuration; report to stdout, diagnostics to stderr."""
-    stdout = stdout if stdout is not None else sys.stdout
-    stderr = stderr if stderr is not None else sys.stderr
     started = time.perf_counter()
     try:
         result = _compute(config)
     except (InputError, EvaluationError) as exc:
-        print(f"error: {exc}", file=stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, InputError) else 3
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    print(render_json(config, result), file=stdout)
-    print(f"elapsed_ms={elapsed_ms:.3f}", file=stderr)
+    print(render_json(config, result))
+    print(f"elapsed_ms={elapsed_ms:.3f}", file=sys.stderr)
     return 0
 
 

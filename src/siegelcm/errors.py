@@ -12,8 +12,9 @@ outside the invariants of ``QuadIrrational`` or ``QuadForm``, a
 non-integral field of any value type (``exactmath.require_integers``), a
 ``MatrixModN`` that is not invertible mod N, a zero ``FracVector`` mod Z^2
 (either takes any representative and stores its class mod +-1), mismatched moduli,
-an empty record list or one that repeats a (form, vector) pair
-(``check_criterion``, ``minimal_polynomial``), records that do not start
+an empty record list, one that repeats a (form, vector) pair or one whose
+values carry more than one precision (``check_criterion``,
+``minimal_polynomial``), records that do not start
 with the base value or whose count is not h(d) #W/{+-1}
 (``check_criterion``) or are not closed under complex conjugation
 (``minimal_polynomial``), a tau that rounds to a point with an infinite or

@@ -68,6 +68,22 @@ def require_level(N: int) -> int:
     return int(N)
 
 
+def prime_powers(N: int) -> list[tuple[int, int]]:
+    """(p, p^e) for every p^e || N, N >= 1, p ascending, by trial division."""
+    out, n, p = [], N, 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, p**e))
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append((n, n))
+    return out
+
+
 def _unpickle(bits: int, raw):
     ctx = context(bits)
     return ctx.make_mpc(raw) if len(raw) == 2 else ctx.make_mpf(raw)

@@ -41,7 +41,8 @@ class ConjugateRecord:
     """One conjugate: its index (alpha, form), transformed vector, and value.
 
     The CM point is ``theta_of_form(form)``.  ``value`` is an mpc of
-    ``context(precision)``; records pickle.
+    ``context(precision)``, and ``conjugates`` gives every record of a list
+    the same precision; records pickle.
     """
 
     alpha: MatrixModN
@@ -153,20 +154,24 @@ def conjugates(
 
 
 def _checked_precision(records: list[ConjugateRecord]) -> int:
-    """The records' highest precision, after the checks both consumers share.
+    """The records' one precision p, after the checks both consumers share.
 
-    An empty list, or one that repeats a (form, vector) pair, is a rejected
-    argument (InputError); a zero, NaN or infinite value at any index is a
-    failed evaluation (EvaluationError).
+    An empty list, one that repeats a (form, vector) pair, or one whose
+    values carry more than one precision is a rejected argument
+    (InputError); a zero, NaN or infinite value at any index is a failed
+    evaluation (EvaluationError).
     """
     if not records:
         raise InputError("need at least one conjugate record")
     if len({(r.form, r.vector) for r in records}) < len(records):
         raise InputError("records repeat a (form, vector) pair")
+    precisions = {r.value.context.prec for r in records}
+    if len(precisions) > 1:
+        raise InputError(f"records must share one precision, got {sorted(precisions)} bits")
     # a special mpf (zero, an infinity or NaN) has mantissa 0: at most one part may be, and only 0
     if any([part for part in r.value._mpc_ if not part[1]] not in ([], [fzero]) for r in records):
         raise EvaluationError("a conjugate is zero or NaN, or infinite")
-    return max(r.value.context.prec for r in records)
+    return precisions.pop()
 
 
 def _least_power(ratio: Fraction, group_order: int) -> int:
@@ -205,14 +210,14 @@ def check_criterion(records: list[ConjugateRecord]) -> CriterionReport:
     (identity class, principal form, vector (0, 1); else InputError).  The
     group order #G = h(d) #W/{+-1} comes from d and N of the base record,
     and a list of any other length is an InputError.  Each modulus is
-    rounded to its value's own precision and each quotient to 16 bits above
-    the records' highest, all to nearest, on mpmath's raw tuples.  A value
-    and its conjugate have one ``conjugate_key`` and share one modulus and
+    rounded to the records' one precision p and each quotient to p + 16
+    bits, all to nearest, on mpmath's raw tuples.  A value and its
+    conjugate have one ``conjugate_key`` and share one modulus and
     quotient, which see Im z only through its square.  The maximum gets
     the 2^-64 safety margin before the < 1 test and before the exponent
     search.
     """
-    prec = _checked_precision(records) + 16
+    p = _checked_precision(records)
     first = records[0]
     # a reduced form with a = 1 is the principal form
     if not (first.alpha.is_identity() and first.form.a == 1 and first.vector.as_tuple() == (0, 1)):
@@ -221,18 +226,14 @@ def check_criterion(records: list[ConjugateRecord]) -> CriterionReport:
     group_order = len(reduced_forms(d)) * _w_order(d, first.vector.modulus)
     if len(records) != group_order:
         raise InputError(f"got {len(records)} records, but the conjugate set has {group_order}")
-
-    def modulus(value):  # abs() at the value's own precision
-        return mpc_abs(value._mpc_, value.context.prec, "n")
-
-    base = modulus(first.value)
+    base = mpc_abs(first.value._mpc_, p, "n")
     # conj(z) has the modulus of z: one quotient per conjugate_key
     shared, ratios = {}, []
     for rec in records[1:]:
         key = conjugate_key(rec.value)
         pair = shared.get(key)
         if pair is None:
-            ratio = mpf_div(modulus(rec.value), base, prec, "n")
+            ratio = mpf_div(mpc_abs(rec.value._mpc_, p, "n"), base, p + 16, "n")
             pair = shared[key] = (ratio, to_float(ratio, rnd="n"))
         ratios.append(pair[1])
     # finite over finite and non-zero: every ratio is finite, so max() is exact
@@ -259,25 +260,25 @@ def minimal_polynomial(records: list[ConjugateRecord]) -> IntPolynomial:
     value) contributes X - Re(z).  The factors are multiplied in ascending
     order of |z| (by binary exponent, ties in record order), so the
     coefficients grow to full size only in the last products.  A record
-    whose partner is missing, or two records with the same form and
-    vector, are an InputError.  Each partner must lie within 2^(2-p) |z|
-    of conj(z), and a real value's |Im z| within half of that, p being the
-    lowest record precision: both values carry a relative error below
-    2^-p, so a larger gap is an EvaluationError.
+    whose partner is missing, two records with the same form and vector,
+    or values of more than one precision are an InputError.  Each partner
+    must lie within 2^(2-p) |z| of conj(z), and a real value's |Im z|
+    within half of that, p being the records' one precision: both values
+    carry a relative error below 2^-p, so a larger gap is an
+    EvaluationError.
 
-    Coefficients are Python integers scaled by 2^F, F = p' + 64 with p'
-    the records' precision.  Every integer step truncates by less than one
-    unit 2^-F: each Re z and Im z once, each |z|^2 once, and each
-    coefficient once per factor multiplied in.  Each coefficient's
-    distance to the nearest integer is recorded; if the maximum exceeds
-    SNAP_TOLERANCE (1e-10) the snap is refused, since that indicates
-    either insufficient working precision for the coefficient sizes at
-    hand or genuinely non-integral coefficients.  ``max_imag_residual``
-    is always 0.0.  Callers should pass records from a run whose
-    certificate passed.
+    Coefficients are Python integers scaled by 2^F, F = p + 64.  Every
+    integer step truncates by less than one unit 2^-F: each Re z and Im z
+    once, each |z|^2 once, and each coefficient once per factor multiplied
+    in.  Each coefficient's distance to the nearest integer is recorded;
+    if the maximum exceeds SNAP_TOLERANCE (1e-10) the snap is refused,
+    since that indicates either insufficient working precision for the
+    coefficient sizes at hand or genuinely non-integral coefficients.
+    ``max_imag_residual`` is always 0.0.  Callers should pass records from
+    a run whose certificate passed.
     """
-    F = _checked_precision(records) + 64
-    p = min(r.value.context.prec for r in records)
+    p = _checked_precision(records)
+    F = p + 64
     by_key = {(r.form.as_tuple(), r.vector): r for r in records}
     done, factors = set(), []
     for key, rec in by_key.items():

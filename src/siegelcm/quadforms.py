@@ -12,19 +12,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .errors import InputError
-from .exactmath import QuadIrrational, require_integers
-
-
-def _squarefree(n: int) -> bool:
-    n = abs(n)
-    if n % 4 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % (f * f) == 0:
-            return False
-        f += 2
-    return True
+from .exactmath import QuadIrrational, prime_powers, require_integers
 
 
 @dataclass(frozen=True)
@@ -44,12 +32,8 @@ class Discriminant:
         r = self.d % 4
         if r not in (0, 1):
             raise InputError(f"discriminant must be 0 or 1 mod 4, got {self.d}")
-        if r == 1:
-            ok = _squarefree(self.d)
-        else:
-            m = self.d // 4
-            ok = m % 4 in (2, 3) and _squarefree(m)
-        if not ok:
+        m = self.d if r == 1 else self.d // 4
+        if not ((r == 1 or m % 4 in (2, 3)) and all(p == pe for p, pe in prime_powers(-m))):
             raise InputError(f"{self.d} is not a fundamental discriminant")
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import InputError
-from .exactmath import require_integers, require_level
+from .exactmath import prime_powers, require_integers, require_level
 from .quadforms import Discriminant, QuadForm, principal_form, reduced_forms
 
 IntMatrix = tuple[tuple[int, int], tuple[int, int]]
@@ -108,21 +108,6 @@ def beta_local(Q: QuadForm, p: int) -> IntMatrix:
     return ((-a - hi, -c - lo), (1, -1))
 
 
-def _prime_powers(N: int) -> list[tuple[int, int]]:
-    out, n, p = [], N, 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, p**e))
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append((n, n))
-    return out
-
-
 def beta_modN(Q: QuadForm, N: int) -> MatrixModN:
     """Glue the local matrices mod p^e along every p^e || N into one class.
 
@@ -133,7 +118,7 @@ def beta_modN(Q: QuadForm, N: int) -> MatrixModN:
     """
     N = require_level(N)
     beta = (0, 0, 0, 0)
-    for p, pe in _prime_powers(N):
+    for p, pe in prime_powers(N):
         rest = N // pe
         e_p = rest * pow(rest, -1, pe)
         (m11, m12), (m21, m22) = beta_local(Q, p)
@@ -175,7 +160,7 @@ def _w_order(d: Discriminant, N: int) -> int:
     """
     _, B, C = principal_form(d).as_tuple()
     phi = N * N
-    for p, _ in _prime_powers(N):
+    for p, _ in prime_powers(N):
         roots = sum((x * x + B * x + C) % p == 0 for x in range(p))
         phi = phi * (p - 1) * (p + 1 - roots) // (p * p)
     return phi if N == 2 else phi // 2

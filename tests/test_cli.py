@@ -7,6 +7,7 @@ import io
 import json
 import random
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import asdict
 from decimal import Decimal
 from fractions import Fraction
@@ -29,7 +30,8 @@ from test_normal_basis import VERIFIED_POLY_20_6
 def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
     config = RunConfig(**vars(cli.build_parser().parse_args(argv)))
-    code = run(config, stdout=out, stderr=err)
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(config)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -323,8 +325,10 @@ def test_run_config_stores_integers():
     floats = RunConfig("conjugates", -20.0, 2.0, precision=64.0)
     assert (type(floats.disc), type(floats.level), type(floats.precision)) == (int, int, int)
     out_floats, out_ints = io.StringIO(), io.StringIO()
-    assert run(floats, stdout=out_floats, stderr=io.StringIO()) == 0
-    assert run(RunConfig("conjugates", -20, 2, precision=64), stdout=out_ints, stderr=io.StringIO()) == 0
+    with redirect_stdout(out_floats), redirect_stderr(io.StringIO()):
+        assert run(floats) == 0
+    with redirect_stdout(out_ints), redirect_stderr(io.StringIO()):
+        assert run(RunConfig("conjugates", -20, 2, precision=64)) == 0
     assert out_floats.getvalue() == out_ints.getvalue()
 
 

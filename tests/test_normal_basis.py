@@ -293,6 +293,12 @@ def test_record_lists_must_be_the_conjugate_set():
     # the base form's four records alone: #G is h(-20) #W/{+-1} = 2 * 4 = 8, not 4
     with pytest.raises(InputError, match="got 4 records, but the conjugate set has 8"):
         check_criterion(recs[:4])
+    # one non-base value at 256 bits: the list would carry two radii 2^-p |x|
+    wider = conjugates(D20, 6, precision=256)[5].value
+    mixed = recs[:5] + [dataclasses.replace(recs[5], value=wider)] + recs[6:]
+    for consumer in (check_criterion, minimal_polynomial):
+        with pytest.raises(InputError, match=r"one precision, got \[128, 256\] bits"):
+            consumer(mixed)
     report = check_criterion(recs)
     assert (report.passes, report.group_order, report.m) == (True, 8, 1)
     assert minimal_polynomial(recs).coefficients == VERIFIED_POLY_20_6

@@ -59,8 +59,9 @@ def test_validate_rejections():
         Discriminant("-20")
 
 
-def test_validation_agrees_with_oracle_below_200():
-    for d in range(-199, 0):
+def test_validation_agrees_with_oracle_below_3000():
+    # d = 1 mod 4 (odd p^2 | d up to p = 53) and 4m with m = 2 or 3 mod 4 reach prime_powers
+    for d in range(-2999, 0):
         expected = oracle_is_fundamental(d)
         if expected:
             assert validate_discriminant(d).d == d
