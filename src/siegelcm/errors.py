@@ -41,9 +41,10 @@ class EvaluationError(RuntimeError):
 
 
 class SnapFailureError(EvaluationError):
-    """Polynomial coefficients are too far from integers to snap."""
+    """Polynomial coefficients are too far from integers to snap; the expansion is real,
+    so ``max_imag_residual`` keeps its default 0.0."""
 
-    def __init__(self, message, max_rounding_residual=None, max_imag_residual=None):
+    def __init__(self, message, max_rounding_residual=None, max_imag_residual=0.0):
         super().__init__(message)
         self.max_rounding_residual = max_rounding_residual
         self.max_imag_residual = max_imag_residual

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 
 import mpmath
 from mpmath.libmp import fzero, mpc_abs, mpf_cmp, mpf_div, to_fixed, to_float, to_rational
@@ -73,12 +72,12 @@ class CriterionReport:
 class IntPolynomial:
     """A snapped monic integer polynomial, coefficients degree-descending.
 
-    The expansion is real, so ``max_imag_residual`` is always 0.0.
+    The expansion is real, so ``max_imag_residual`` keeps its default 0.0.
     """
 
     coefficients: tuple[int, ...]
     max_rounding_residual: float
-    max_imag_residual: float
+    max_imag_residual: float = 0.0
 
     @property
     def degree(self) -> int:
@@ -115,11 +114,12 @@ def conjugates(
     the W classes alpha, identity first.  Record (alpha, Q) has the vector
     (0, 1) alpha beta_Q in canonical form and the value the -12N/gcd(6,N)
     power of g at the CM point of Q, carried at ``precision`` bits (with a
-    fixed DEFAULT_GUARD = 64 extra working bits); beta_Q and tau, the CM
-    point first rounded to precision + 64 bits, are made once per form,
-    (0, 1) alpha once per class; siegel_eval's "Rounded CM points" bounds
-    the error relative to g at the exact CM point.  The principal form has
-    beta = 1, so the first record is the base value itself with vector (0, 1).
+    fixed DEFAULT_GUARD = 64 extra working bits); beta_Q is made once per
+    form, tau, the CM point rounded to precision + 64 bits, at the form's
+    first evaluated vector, and (0, 1) alpha once per class; siegel_eval's
+    "Rounded CM points" bounds the error relative to g at the exact CM
+    point.  The principal form has beta = 1, so the first record is the
+    base value itself with vector (0, 1).
 
     Complex conjugation saves about half the evaluations.  ``_partner``
     maps each record to the one whose value is its complex conjugate.  A
@@ -136,8 +136,7 @@ def conjugates(
     records = []
     mirrored = {}
     for Q in forms:
-        beta = beta_modN(Q, N)
-        tau = to_complex(theta_of_form(Q), precision + DEFAULT_GUARD)
+        beta, tau = beta_modN(Q, N), None
         form = Q.as_tuple()
         for alpha, start in zip(group, starts):
             vector = act_vector(start, beta)
@@ -145,6 +144,8 @@ def conjugates(
             if known is not None:
                 value = known.conjugate()
             else:
+                if tau is None:  # a form whose every value is mirrored needs no CM point
+                    tau = to_complex(theta_of_form(Q), precision + DEFAULT_GUARD)
                 value = siegel_power(vector.v, vector.w, tau, N,
                                      precision=precision, guard=DEFAULT_GUARD)
                 if Q.b < 0:
@@ -227,19 +228,19 @@ def check_criterion(records: list[ConjugateRecord]) -> CriterionReport:
     if len(records) != group_order:
         raise InputError(f"got {len(records)} records, but the conjugate set has {group_order}")
     base = mpc_abs(first.value._mpc_, p, "n")
-    # conj(z) has the modulus of z: one quotient per conjugate_key
-    shared, ratios = {}, []
+    # conj(z) has the modulus of z: one quotient per conjugate_key; finite over
+    # finite and non-zero, every quotient is finite, so the largest is exact
+    shared, ratios, largest = {}, [], fzero
     for rec in records[1:]:
         key = conjugate_key(rec.value)
-        pair = shared.get(key)
-        if pair is None:
-            ratio = mpf_div(mpc_abs(rec.value._mpc_, p, "n"), base, p + 16, "n")
-            pair = shared[key] = (ratio, to_float(ratio, rnd="n"))
-        ratios.append(pair[1])
-    # finite over finite and non-zero: every ratio is finite, so max() is exact
-    exact = [ratio for ratio, _ in shared.values()]
-    raw_max = Fraction(*to_rational(max(exact, key=cmp_to_key(mpf_cmp)))) if exact else Fraction(0)
-    margined = raw_max + RATIO_SAFETY_MARGIN
+        ratio = shared.get(key)
+        if ratio is None:
+            exact = mpf_div(mpc_abs(rec.value._mpc_, p, "n"), base, p + 16, "n")
+            if mpf_cmp(exact, largest) > 0:
+                largest = exact
+            ratio = shared[key] = to_float(exact, rnd="n")
+        ratios.append(ratio)
+    margined = Fraction(*to_rational(largest)) + RATIO_SAFETY_MARGIN
     passes = margined < 1
     m = _least_power(margined, group_order) if passes else None
     return CriterionReport(
@@ -274,8 +275,8 @@ def minimal_polynomial(records: list[ConjugateRecord]) -> IntPolynomial:
     if the maximum exceeds SNAP_TOLERANCE (1e-10) the snap is refused,
     since that indicates either insufficient working precision for the
     coefficient sizes at hand or genuinely non-integral coefficients.
-    ``max_imag_residual`` is always 0.0.  Callers should pass records from
-    a run whose certificate passed.
+    ``max_imag_residual`` keeps its default 0.0.  Callers should pass
+    records from a run whose certificate passed.
     """
     p = _checked_precision(records)
     F = p + 64
@@ -323,11 +324,6 @@ def minimal_polynomial(records: list[ConjugateRecord]) -> IntPolynomial:
             f"(rounding residual {float(max_round):.6g}); raise the "
             f"working precision if the residual looks like rounding noise",
             max_rounding_residual=float(max_round),
-            max_imag_residual=0.0,
         )
-    return IntPolynomial(
-        coefficients=tuple(snapped),
-        max_rounding_residual=float(max_round),
-        max_imag_residual=0.0,
-    )
+    return IntPolynomial(coefficients=tuple(snapped), max_rounding_residual=float(max_round))
 

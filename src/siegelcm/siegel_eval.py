@@ -36,11 +36,12 @@ The one exponent of a level, e = -12N/gcd(6, N), is even, so the lead
 factor needs no exponential: x = g^e = zeta^j r^k P^e with the integers
 j = e w (v-N) / (2N) and k = e (6v^2 - 6vN + N^2) / (12N).  r^k and P^e are
 binary powers of Gaussian integers with W-bit mantissas and a binary
-exponent, whose squares take (a + b)(a - b) and 2ab, the two integers
-that the general product forms for a + bi times itself, in two products
-instead of four; x is rounded once, to the stated precision.  k depends
-on v alone, so one memo per point, v -> (the D_c of v, r^|k|), keeps what
-``_class_sums`` makes for the first vector that needs it.
+exponent; ``_pow`` forms each square in its loop from (a + b)(a - b) and
+2ab, the two integers the general product forms for a + bi times itself,
+in two products instead of four; x is rounded once, to the stated
+precision.  k depends on v alone, so one memo per point, v -> (the D_c of
+v, r^|k|), keeps what ``_class_sums`` makes for the first vector that
+needs it.
 
 Error budget, with work = precision + guard bits, relative to x at the mpc
 tau ``siegel_power`` is given, rounded to work bits: an error that tau
@@ -193,12 +194,6 @@ def _mul(x, y, bits: int):
     return _cut(a * c - b * d, a * d + b * c, s + t, bits)
 
 
-def _square(x, bits: int):
-    """_mul(x, x, bits): (a + b)(a - b) and 2ab are the same two integers."""
-    a, b, s = x
-    return _cut((a + b) * (a - b), 2 * a * b, 2 * s, bits)
-
-
 def _cut(re: int, im: int, s: int, bits: int):
     """(re + im i) 2^s with both parts cut to at most `bits` bits."""
     drop = max(abs(re).bit_length(), abs(im).bit_length()) - bits
@@ -208,24 +203,16 @@ def _cut(re: int, im: int, s: int, bits: int):
 
 
 def _pow(x, n: int, bits: int):
-    """x^n for an integer n >= 1, by binary powering."""
-    while not n & 1:
-        x = _square(x, bits)
-        n >>= 1
-    acc = x
-    while n := n >> 1:
-        x = _square(x, bits)
+    """x^n for an integer n >= 1, by binary powering; a + bi squares as (a + b)(a - b) and 2ab."""
+    acc = None
+    while True:
         if n & 1:
-            acc = _mul(acc, x, bits)
-    return acc
-
-
-def _div(x, y, bits: int):
-    (a, b, s), (c, d, t) = x, y
-    norm = c * c + d * d
-    re, im = a * c + b * d, b * c - a * d
-    shift = max(bits + norm.bit_length() - max(abs(re).bit_length(), abs(im).bit_length()), 0)
-    return (re << shift) // norm, (im << shift) // norm, s - t - shift
+            acc = x if acc is None else _mul(acc, x, bits)
+        n >>= 1
+        if not n:
+            return acc
+        a, b, s = x
+        x = _cut((a + b) * (a - b), 2 * a * b, 2 * s, bits)
 
 
 class _Tables(NamedTuple):
@@ -386,6 +373,11 @@ def _power_parts(v: int, w: int, point: tuple, level: int, work: int) -> tuple:
 
 
 def _quotient(num, den, bits: int, out):
-    """num/den, Gaussian floats with `bits`-bit mantissas, rounded once to out's precision."""
-    re, im, exp = _div(num, den, bits)
-    return out.make_mpc((from_man_exp(re, exp, out.prec, "n"), from_man_exp(im, exp, out.prec, "n")))
+    """num/den for Gaussian floats with `bits`-bit mantissas: the parts of num conj(den),
+    shifted so that their integer quotients by |den|^2 keep `bits` bits, rounded once to out's precision."""
+    (a, b, s), (c, d, t) = num, den
+    norm = c * c + d * d
+    re, im = a * c + b * d, b * c - a * d
+    shift = max(bits + norm.bit_length() - max(abs(re).bit_length(), abs(im).bit_length()), 0)
+    exp = s - t - shift
+    return out.make_mpc(tuple(from_man_exp((part << shift) // norm, exp, out.prec, "n") for part in (re, im)))

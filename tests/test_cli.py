@@ -346,7 +346,7 @@ def test_render_json_matches_json_dumps_on_pinned_requests(pinned_runs):
         assert "\n" not in line, pin["argv"]
         assert line == json.dumps(json.loads(line)), pin["argv"]
         printed += 1
-    assert printed == 13
+    assert printed == 16
 
 
 @pytest.mark.parametrize(

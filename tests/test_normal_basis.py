@@ -193,6 +193,22 @@ def test_conjugates_evaluates_one_form_of_each_mirror_pair(monkeypatch, d, N, p,
     assert count == calls
 
 
+@pytest.mark.parametrize(
+    "d, N, forms, points",
+    [
+        (-1031, 7, 35, 18),  # 17 forms with b < 0 mirror every record
+        (-311, 12, 19, 10),
+        (-71, 30, 7, 4),
+    ],
+)
+def test_conjugates_rounds_a_cm_point_only_for_an_evaluated_form(monkeypatch, d, N, forms, points):
+    made = []
+    monkeypatch.setattr(normal_basis, "to_complex", lambda *args: made.append(args) or to_complex(*args))
+    records = conjugates(validate_discriminant(d), N, precision=128)
+    assert len({rec.form for rec in records}) == forms
+    assert len(made) == points
+
+
 def test_check_criterion_level_six_run(records_20_6):
     report = check_criterion(list(records_20_6))
     assert report.passes

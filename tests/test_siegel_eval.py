@@ -238,17 +238,44 @@ def _pow_by_mul(x, n, bits):
 
 
 def test_squares_are_the_integers_of_mul():
-    # (a + b)(a - b) and 2ab are the parts of _mul(x, x): bit for bit, with
-    # negative parts, mantissas short enough that nothing is cut (drop <= 0),
-    # and the exponents e = -84 of level 7 and 12N of level 2
+    # _pow squares through (a + b)(a - b) and 2ab, the parts of _mul(x, x):
+    # bit for bit, with negative parts, mantissas short enough that nothing
+    # is cut (drop <= 0), and the exponents e = -84 of level 7 and 12N of level 2
     rng = random.Random(22)
     for _ in range(300):
         size, bits = rng.randint(1, 400), rng.choice((8, 64, 347, 1000))
         a, b = (rng.choice((-1, 1)) * rng.getrandbits(size) for _ in range(2))
         x = (a, b, rng.randint(-900, 900))
-        assert siegel_eval._square(x, bits) == siegel_eval._mul(x, x, bits), (x, bits)
+        assert siegel_eval._pow(x, 2, bits) == siegel_eval._mul(x, x, bits), (x, bits)
         for n in (1, 2, 3, 24, 84):
             assert siegel_eval._pow(x, n, bits) == _pow_by_mul(x, n, bits), (x, n, bits)
+
+
+def _gaussian_float(rng, size, real=False):
+    # (a + bi) 2^s with a != 0, signed parts of up to `size` bits, b = 0 when real
+    a = rng.choice((-1, 1)) * (rng.getrandbits(size) | 1)
+    b = 0 if real else rng.choice((-1, 1)) * rng.getrandbits(size)
+    return a, b, rng.randint(-2000, 2000)
+
+
+@pytest.mark.parametrize("p", [64, 256, 1408])
+def test_quotient_parts_are_within_the_rounding_of_the_exact_quotient(p):
+    # each part of num/den, rounded once to p bits, lies within
+    # 2^(1-p) max(|Re q|, |Im q|) of the exact quotient q: with negative parts,
+    # real operands and mantissas shorter and longer than `bits` >= p + 8
+    rng = random.Random(p)
+    out = context(p)
+    for _ in range(200):
+        bits = p + rng.choice((8, 64, 200))
+        num, den = (_gaussian_float(rng, rng.randint(1, 2 * bits), real=rng.random() < 0.2) for _ in range(2))
+        (a, b, s), (c, d, t) = num, den
+        scale = Fraction(2) ** (s - t) / (c * c + d * d)
+        exact = ((a * c + b * d) * scale, (b * c - a * d) * scale)
+        q = siegel_eval._quotient(num, den, bits, out)
+        assert q.context.prec == p
+        ours = [Fraction(*mpmath.libmp.to_rational(part)) for part in q._mpc_]
+        bound = max(map(abs, exact)) / Fraction(2) ** (p - 1)
+        assert all(abs(x - y) <= bound for x, y in zip(ours, exact)), (num, den, bits)
 
 
 def test_cached_powers_of_r_are_bit_identical():
