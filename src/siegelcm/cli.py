@@ -1,12 +1,13 @@
 """Command-line front end: argument parsing, reports, exit codes.
 
 One parser takes the subcommand and the flags ``--disc``, ``-N/--level``
-and ``--precision``; ``build_parser`` builds it once per process and
-every ``main`` call reuses it.  The numeric policy is fixed in the
-library: 64 guard bits during evaluation and a snap tolerance of 1e-10.
+and ``--precision``; ``build_parser`` builds it once per process, and
+``main`` hands each parsed argv to ``run``.  The numeric policy is fixed in
+the library: 64 guard bits during evaluation and a snap tolerance of 1e-10.
 
-Exit codes: 0 success, 2 rejected input (``InputError``), 3 evaluation
-failure (``EvaluationError``); ``errors`` lists what raises each.
+Exit codes: 0 success, 2 rejected input (``InputError``, or argparse's
+``SystemExit(2)``), 3 evaluation failure (``EvaluationError``); ``run``'s
+one ``try`` maps both families, and ``errors`` lists what raises each.
 The report goes to stdout as one line of JSON from ``json.dumps`` without
 indent (CPython's C encoder); it repeats no field and prints no constant.
 High-precision values are rendered as decimal strings holding only
@@ -22,7 +23,6 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass
 from decimal import Decimal
 from math import floor, log2, log10
 
@@ -34,7 +34,6 @@ from .exactmath import (  # noqa: F401
     DEFAULT_PRECISION,
     conjugate_key,
     context,
-    require_integers,
     require_level,
 )
 from .normal_basis import (
@@ -49,25 +48,6 @@ from .siegel_eval import siegel_ramachandra_invariant
 SCHEMA_VERSION = 6
 SUBCOMMANDS = ("forms", "conjugates", "normal-basis", "minpoly", "invariant")
 MIN_PRECISION = 64
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    disc: int
-    level: int | None
-    precision: int = DEFAULT_PRECISION
-
-    def __post_init__(self):
-        if self.subcommand not in SUBCOMMANDS:
-            raise InputError(f"unknown subcommand {self.subcommand!r}")
-        require_integers(self, "disc", "precision")
-        if self.precision < MIN_PRECISION:
-            raise InputError(f"precision must be >= {MIN_PRECISION} bits")
-        if self.level is not None:
-            object.__setattr__(self, "level", require_level(self.level))
-        elif self.subcommand != "forms":
-            raise InputError("level must be an integer >= 2")
 
 
 def _digits(n: int) -> str:
@@ -190,7 +170,12 @@ def _conjugate_rows(records: list[ConjugateRecord]) -> list[dict]:
     return rows
 
 
-def _compute(config: RunConfig) -> dict:
+def _compute(config: argparse.Namespace) -> dict:
+    # the CLI's own two rules, then the library's
+    if config.precision < MIN_PRECISION:
+        raise InputError(f"precision must be >= {MIN_PRECISION} bits")
+    if config.level is not None or config.subcommand != "forms":
+        require_level(config.level)
     d = validate_discriminant(config.disc)
     if config.subcommand == "forms":
         forms = reduced_forms(d)
@@ -227,13 +212,13 @@ def _compute(config: RunConfig) -> dict:
     }
 
 
-def render_json(config: RunConfig, result: dict) -> str:
+def render_json(config: argparse.Namespace, result: dict) -> str:
     """The report: schema, config and result as one line of compact JSON."""
     return json.dumps({"schema": SCHEMA_VERSION, "config": vars(config), "result": result})
 
 
-def run(config: RunConfig) -> int:
-    """Execute one configuration; report to stdout, diagnostics to stderr."""
+def run(config: argparse.Namespace) -> int:
+    """Execute one parsed argv; report to stdout, diagnostics to stderr."""
     started = time.perf_counter()
     try:
         result = _compute(config)
@@ -267,13 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        config = RunConfig(**vars(args))
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return run(config)
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

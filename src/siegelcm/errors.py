@@ -7,20 +7,20 @@ a bare int (``reduced_forms``, ``principal_form`` and all that call them),
 d in {-3, -4} (``w_group``), a level that is not an integer >= 2
 (``exactmath.require_level``, which ``siegel_eval``'s ``power_exponent``
 and ``siegel_ramachandra_invariant`` apply too), a precision that is not an
-integer >= 2 (``exactmath.context``), a value
-outside the invariants of ``QuadIrrational`` or ``QuadForm``, a
-non-integral field of any value type (``exactmath.require_integers``), a
-``MatrixModN`` that is not invertible mod N, a zero ``FracVector`` mod Z^2
-(either takes any representative and stores its class mod +-1), mismatched moduli,
-an empty record list, one that repeats a (form, vector) pair or one whose
-values carry more than one precision (``check_criterion``,
-``minimal_polynomial``), records that do not start
-with the base value or whose count is not h(d) #W/{+-1}
-(``check_criterion``) or are not closed under complex conjugation
-(``minimal_polynomial``), a tau that rounds to a point with an infinite or
-NaN part or off the upper half-plane, a ``siegel_power`` vector (v, w) that
-is not integral or is 0 mod N, or a guard that is not an integer >= 0, and
-the other checks of ``normal_basis`` and the CLI's ``RunConfig``.
+integer >= 2 (``exactmath.context``), a value outside the invariants of
+``QuadIrrational`` or ``QuadForm``, a non-integral field of any value type
+(``exactmath.require_integers``), a ``MatrixModN`` that is not invertible
+mod N, a zero ``FracVector`` mod Z^2 (either takes any representative and
+stores its class mod +-1), mismatched moduli, an empty record list, one
+that repeats a (form, vector) pair or mixes levels, discriminants or
+precisions (``check_criterion``, ``minimal_polynomial``), records that do
+not start with the base value or do not hold #W/{+-1} on each of the h(d)
+reduced forms (``check_criterion``) or are not closed under complex
+conjugation (``minimal_polynomial``), a tau that rounds to a point with an
+infinite or NaN part or off the upper half-plane, a ``siegel_power`` vector
+(v, w) that is not integral or is 0 mod N, a guard that is not an integer
+>= 0, the other checks of ``normal_basis``, and ``cli.run``'s two rules: a
+precision of at least 64 bits, and a level for every subcommand but forms.
 
 ``EvaluationError`` (CLI exit code 3) reports valid inputs whose computation
 cannot be completed: a truncation index above its cap (``siegel_power``,

@@ -154,11 +154,11 @@ def conjugates(
     return records
 
 
-def _checked_precision(records: list[ConjugateRecord]) -> int:
+def _checked(records: list[ConjugateRecord]) -> int:
     """The records' one precision p, after the checks both consumers share.
 
-    An empty list, one that repeats a (form, vector) pair, or one whose
-    values carry more than one precision is a rejected argument
+    An empty list, one that repeats a (form, vector) pair, or one that
+    mixes levels N, discriminants d or precisions is a rejected argument
     (InputError); a zero, NaN or infinite value at any index is a failed
     evaluation (EvaluationError).
     """
@@ -166,6 +166,9 @@ def _checked_precision(records: list[ConjugateRecord]) -> int:
         raise InputError("need at least one conjugate record")
     if len({(r.form, r.vector) for r in records}) < len(records):
         raise InputError("records repeat a (form, vector) pair")
+    Ns, ds = {r.vector.modulus for r in records}, {r.form.discriminant for r in records}
+    if len(Ns) > 1 or len(ds) > 1:
+        raise InputError(f"records must share one N and one d, got N {sorted(Ns)}, d {sorted(ds)}")
     precisions = {r.value.context.prec for r in records}
     if len(precisions) > 1:
         raise InputError(f"records must share one precision, got {sorted(precisions)} bits")
@@ -210,23 +213,29 @@ def check_criterion(records: list[ConjugateRecord]) -> CriterionReport:
     Ratios are moduli relative to the base record, which must come first
     (identity class, principal form, vector (0, 1); else InputError).  The
     group order #G = h(d) #W/{+-1} comes from d and N of the base record,
-    and a list of any other length is an InputError.  Each modulus is
-    rounded to the records' one precision p and each quotient to p + 16
-    bits, all to nearest, on mpmath's raw tuples.  A value and its
-    conjugate have one ``conjugate_key`` and share one modulus and
-    quotient, which see Im z only through its square.  The maximum gets
-    the 2^-64 safety margin before the < 1 test and before the exponent
-    search.
+    and a list without #W/{+-1} records on each of the h(d) reduced forms
+    is an InputError.  Each modulus is rounded to the records' one
+    precision p and each quotient to p + 16 bits, all to nearest, on
+    mpmath's raw tuples.  A value and its conjugate have one
+    ``conjugate_key`` and share one modulus and quotient, which see Im z
+    only through its square.  The maximum gets the 2^-64 safety margin
+    before the < 1 test and before the exponent search.
     """
-    p = _checked_precision(records)
+    p = _checked(records)
     first = records[0]
     # a reduced form with a = 1 is the principal form
     if not (first.alpha.is_identity() and first.form.a == 1 and first.vector.as_tuple() == (0, 1)):
         raise InputError("the first record must be the base: identity, principal form, (0, 1)")
     d = Discriminant(first.form.discriminant)
-    group_order = len(reduced_forms(d)) * _w_order(d, first.vector.modulus)
+    forms, w = reduced_forms(d), _w_order(d, first.vector.modulus)
+    group_order = len(forms) * w
     if len(records) != group_order:
         raise InputError(f"got {len(records)} records, but the conjugate set has {group_order}")
+    per_form = {}
+    for rec in records:
+        per_form[rec.form] = per_form.get(rec.form, 0) + 1
+    if per_form != dict.fromkeys(forms, w):
+        raise InputError(f"the conjugate set has {w} records on each of the {len(forms)} forms")
     base = mpc_abs(first.value._mpc_, p, "n")
     # conj(z) has the modulus of z: one quotient per conjugate_key; finite over
     # finite and non-zero, every quotient is finite, so the largest is exact
@@ -262,7 +271,7 @@ def minimal_polynomial(records: list[ConjugateRecord]) -> IntPolynomial:
     order of |z| (by binary exponent, ties in record order), so the
     coefficients grow to full size only in the last products.  A record
     whose partner is missing, two records with the same form and vector,
-    or values of more than one precision are an InputError.  Each partner
+    or a list that mixes N, d or precisions is an InputError.  Each partner
     must lie within 2^(2-p) |z| of conj(z), and a real value's |Im z|
     within half of that, p being the records' one precision: both values
     carry a relative error below 2^-p, so a larger gap is an
@@ -278,7 +287,7 @@ def minimal_polynomial(records: list[ConjugateRecord]) -> IntPolynomial:
     ``max_imag_residual`` keeps its default 0.0.  Callers should pass
     records from a run whose certificate passed.
     """
-    p = _checked_precision(records)
+    p = _checked(records)
     F = p + 64
     by_key = {(r.form.as_tuple(), r.vector): r for r in records}
     done, factors = set(), []

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import json
 import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import asdict
 from decimal import Decimal
 from fractions import Fraction
 from math import floor, log10
@@ -19,8 +19,8 @@ import pytest
 from mpmath.libmp import mpf_pow_int
 
 from siegelcm import cli, conjugates, context, siegel_ramachandra_invariant, validate_discriminant
-from siegelcm.cli import RunConfig, format_complex, main, run
-from siegelcm.errors import EvaluationError, InputError
+from siegelcm.cli import format_complex, main, run
+from siegelcm.errors import EvaluationError
 from siegelcm.normal_basis import CriterionReport
 from siegelcm.reciprocity import w_group
 
@@ -29,9 +29,9 @@ from test_normal_basis import VERIFIED_POLY_20_6
 
 def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
-    config = RunConfig(**vars(cli.build_parser().parse_args(argv)))
+    args = cli.build_parser().parse_args(argv)
     with redirect_stdout(out), redirect_stderr(err):
-        code = run(config)
+        code = run(args)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -68,21 +68,39 @@ def test_excluded_field_exit_code(disc):
         assert json.loads(out)["result"]
 
 
-def test_run_config_validation():
-    with pytest.raises(InputError):
-        RunConfig(subcommand="forms", disc=-20, level=None, precision=32)
-    with pytest.raises(InputError):
-        RunConfig(subcommand="minpoly", disc=-20, level=1)
-    with pytest.raises(InputError, match="got 1"):
-        RunConfig(subcommand="forms", disc=-20, level=1)  # a given level is checked too
-    with pytest.raises(InputError):
-        RunConfig(subcommand="modpoly", disc=-20, level=6)
-    with pytest.raises(InputError, match="precision must be an integer, got 256.5"):
-        RunConfig("forms", -20, None, precision=256.5)
-    with pytest.raises(InputError, match="precision must be an integer, got '256'"):
-        RunConfig("forms", -20, None, precision="256")
-    with pytest.raises(InputError, match="disc must be an integer, got -20.5"):
-        RunConfig("forms", -20.5, None)
+def test_cli_input_rules(capsys):
+    # run's own two rules, then argparse's types and choices: each exits 2
+    # and prints no report, argparse's through SystemExit(2)
+    cases = [
+        (["forms", "--disc", "-20", "--precision", "32"], "precision must be >= 64 bits"),
+        (["minpoly", "--disc", "-20", "-N", "1"], "level must be an integer >= 2, got 1"),
+        (["forms", "--disc", "-20", "-N", "1"], "got 1"),  # a given level is checked too
+        (["minpoly", "--disc", "-20"], "level must be an integer >= 2, got None"),
+        (["modpoly", "--disc", "-20", "-N", "6"], "invalid choice: 'modpoly'"),
+        (["forms", "--disc", "-20", "--precision", "256.5"], "invalid int value: '256.5'"),
+        (["forms", "--disc", "-20.5"], "invalid int value: '-20.5'"),
+    ]
+    for argv, message in cases:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), argv
+        assert message in captured.err, argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["minpoly", "--disc", "-95", "-N", "12", "--precision", "512"], ["forms", "--disc", "-20", "-N", "6"]],
+)
+def test_argv_order_does_not_change_the_report(argv):
+    # the JSON config lists subcommand, disc, level, precision whatever the argv order
+    _, expected, _ = run_cli(argv)
+    groups = [argv[:1]] + [argv[i : i + 2] for i in range(1, len(argv), 2)]
+    for order in itertools.permutations(groups):
+        permuted = [token for group in order for token in group]
+        assert run_cli(permuted)[1] == expected, permuted
 
 
 def test_normal_basis_subcommand():
@@ -321,19 +339,8 @@ def test_digits_match_str_past_the_limit():
     assert get_limit() == limit
 
 
-def test_run_config_stores_integers():
-    floats = RunConfig("conjugates", -20.0, 2.0, precision=64.0)
-    assert (type(floats.disc), type(floats.level), type(floats.precision)) == (int, int, int)
-    out_floats, out_ints = io.StringIO(), io.StringIO()
-    with redirect_stdout(out_floats), redirect_stderr(io.StringIO()):
-        assert run(floats) == 0
-    with redirect_stdout(out_ints), redirect_stderr(io.StringIO()):
-        assert run(RunConfig("conjugates", -20, 2, precision=64)) == 0
-    assert out_floats.getvalue() == out_ints.getvalue()
-
-
 def _dumps(config, result):
-    return json.dumps({"schema": cli.SCHEMA_VERSION, "config": asdict(config), "result": result})
+    return json.dumps({"schema": cli.SCHEMA_VERSION, "config": vars(config), "result": result})
 
 
 def test_render_json_matches_json_dumps_on_pinned_requests(pinned_runs):
@@ -358,7 +365,7 @@ def test_render_json_matches_json_dumps_on_pinned_requests(pinned_runs):
     ],
 )
 def test_render_json_matches_json_dumps_on_edge_values(value):
-    config = RunConfig("forms", -20, None)
+    config = cli.build_parser().parse_args(["forms", "--disc", "-20"])
     for result in ({"edge": value}, {"edge": [value, {"nested": value}], "after": 1}):
         text = cli.render_json(config, result)
         assert text == _dumps(config, result)
@@ -367,7 +374,7 @@ def test_render_json_matches_json_dumps_on_edge_values(value):
 
 @pytest.mark.parametrize("value", [object(), {1, 2}, mpmath.mpf(1), b"bytes"])
 def test_render_json_rejects_unsupported_types(value):
-    config = RunConfig("forms", -20, None)
+    config = cli.build_parser().parse_args(["forms", "--disc", "-20"])
     with pytest.raises(TypeError):
         _dumps(config, {"edge": value})
     with pytest.raises(TypeError):

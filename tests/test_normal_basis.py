@@ -315,6 +315,21 @@ def test_record_lists_must_be_the_conjugate_set():
     for consumer in (check_criterion, minimal_polynomial):
         with pytest.raises(InputError, match=r"one precision, got \[128, 256\] bits"):
             consumer(mixed)
+    # one level and one field: a record of (-23, 6) or of (-20, 3) in place
+    # of the last one keeps the base and the count, so only that rule stops it
+    foreign = conjugates(validate_discriminant(-23), 6, precision=128)[3]
+    lower = conjugates(D20, 3, precision=128)[1]
+    for stranger in (foreign, lower):
+        with pytest.raises(InputError, match="one N and one d"):
+            check_criterion(recs[:-1] + [stranger])
+    # an extra level-3 record is a rejected list, not a failed snap (exit 3)
+    with pytest.raises(InputError, match=r"got N \[3, 6\], d \[-20\]"):
+        minimal_polynomial(recs + [lower])
+    # every form carries its W block: the last record moved onto the
+    # principal form, whose vectors do not include its (5, 4), leaves 5 + 3
+    moved = recs[:-1] + [dataclasses.replace(recs[-1], form=recs[0].form)]
+    with pytest.raises(InputError, match="4 records on each of the 2 forms"):
+        check_criterion(moved)
     report = check_criterion(recs)
     assert (report.passes, report.group_order, report.m) == (True, 8, 1)
     assert minimal_polynomial(recs).coefficients == VERIFIED_POLY_20_6
