@@ -19,19 +19,22 @@ import pytest
 from mpmath.libmp import mpf_pow_int
 
 from siegelcm import cli, conjugates, context, siegel_ramachandra_invariant, validate_discriminant
-from siegelcm.cli import format_complex, main, run
+from siegelcm.cli import format_complex, main
 from siegelcm.errors import EvaluationError
 from siegelcm.normal_basis import CriterionReport
 from siegelcm.reciprocity import w_group
 
-from test_normal_basis import VERIFIED_POLY_20_6
+from test_acceptance import REFERENCE_POLY_20_6
 
 
 def run_cli(argv):
+    """main(argv) as (exit code, stdout, stderr); argparse's SystemExit gives its code."""
     out, err = io.StringIO(), io.StringIO()
-    args = cli.build_parser().parse_args(argv)
     with redirect_stdout(out), redirect_stderr(err):
-        code = run(args)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -47,47 +50,35 @@ def test_forms_subcommand():
     assert "elapsed_ms=" in err
 
 
-def test_forms_rejects_nonfundamental():
-    code, out, err = run_cli(["forms", "--disc", "-12"])
-    assert code == 2
-    assert out == ""
-    assert "fundamental" in err
-
-
-@pytest.mark.parametrize("disc", ["-3", "-4"])
-def test_excluded_field_exit_code(disc):
+# Every rejected request: (argv, exit code, a fragment of stderr).  run's own
+# two rules, the library's InputError (2) and EvaluationError (3), then
+# argparse's types, choices and removed flags (2, through SystemExit).
+INPUT_RULES = [
+    ("forms --disc -20 --precision 32", 2, "precision must be >= 64 bits"),
+    ("forms --disc -20 --precision 16", 2, "precision"),
+    ("minpoly --disc -20 -N 1", 2, "level must be an integer >= 2, got 1"),
+    ("forms --disc -20 -N 1", 2, "level must be an integer >= 2, got 1"),  # a given level is checked too
+    ("forms --disc -20 -N -5", 2, "level must be an integer >= 2, got -5"),
+    ("minpoly --disc -20", 2, "level must be an integer >= 2, got None"),
+    ("forms --disc -12", 2, "fundamental"),
     # only the subcommands that enumerate conjugates exclude these fields
-    for subcommand in ("conjugates", "normal-basis", "minpoly"):
-        code, out, err = run_cli([subcommand, "--disc", disc, "-N", "6"])
-        assert code == 2
-        assert out == ""
-        assert "error" in err
-    for subcommand in ("forms", "invariant"):
-        code, out, _ = run_cli([subcommand, "--disc", disc, "-N", "6"])
-        assert code == 0
-        assert json.loads(out)["result"]
+    *((f"{sub} --disc {d} -N 6", 2, "needs extra units")
+      for sub in ("conjugates", "normal-basis", "minpoly") for d in (-3, -4)),
+    ("minpoly --disc -8 -N 2", 3, "not within"),
+    ("modpoly --disc -20 -N 6", 2, "invalid choice: 'modpoly'"),
+    ("forms --disc -20 --precision 256.5", 2, "invalid int value: '256.5'"),
+    ("forms --disc -20.5", 2, "invalid int value: '-20.5'"),
+    *((f"conjugates --disc -20 -N 6 {flag} {value}", 2, flag) for flag, value in (
+        ("--threads", "2"), ("--guard", "64"), ("--snap-tolerance", "1e-10"), ("--format", "text"))),
+]
 
 
-def test_cli_input_rules(capsys):
-    # run's own two rules, then argparse's types and choices: each exits 2
-    # and prints no report, argparse's through SystemExit(2)
-    cases = [
-        (["forms", "--disc", "-20", "--precision", "32"], "precision must be >= 64 bits"),
-        (["minpoly", "--disc", "-20", "-N", "1"], "level must be an integer >= 2, got 1"),
-        (["forms", "--disc", "-20", "-N", "1"], "got 1"),  # a given level is checked too
-        (["minpoly", "--disc", "-20"], "level must be an integer >= 2, got None"),
-        (["modpoly", "--disc", "-20", "-N", "6"], "invalid choice: 'modpoly'"),
-        (["forms", "--disc", "-20", "--precision", "256.5"], "invalid int value: '256.5'"),
-        (["forms", "--disc", "-20.5"], "invalid int value: '-20.5'"),
-    ]
-    for argv, message in cases:
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        captured = capsys.readouterr()
-        assert (code, captured.out) == (2, ""), argv
-        assert message in captured.err, argv
+@pytest.mark.parametrize("argv, code, message", INPUT_RULES, ids=[row[0] for row in INPUT_RULES])
+def test_cli_input_rules(argv, code, message):
+    # each rejection prints no report
+    got, out, err = run_cli(argv.split())
+    assert (got, out) == (code, "")
+    assert message in err
 
 
 @pytest.mark.parametrize(
@@ -123,17 +114,10 @@ def test_minpoly_subcommand():
     assert code == 0
     doc = json.loads(out)
     assert doc["result"]["degree"] == 8
-    assert doc["result"]["coefficients"] == [str(c) for c in VERIFIED_POLY_20_6]
+    assert doc["result"]["coefficients"] == [str(c) for c in REFERENCE_POLY_20_6]
     assert doc["result"]["max_rounding_residual"] < 1e-10
     assert doc["schema"] == 6
     assert "max_imag_residual" not in doc["result"]
-
-
-def test_minpoly_snap_failure_exit_code():
-    code, out, err = run_cli(["minpoly", "--disc", "-8", "-N", "2"])
-    assert code == 3
-    assert out == ""
-    assert "not within" in err
 
 
 def test_minpoly_failed_certificate_exit_code(monkeypatch):
@@ -353,7 +337,7 @@ def test_render_json_matches_json_dumps_on_pinned_requests(pinned_runs):
         assert "\n" not in line, pin["argv"]
         assert line == json.dumps(json.loads(line)), pin["argv"]
         printed += 1
-    assert printed == 16
+    assert printed == sum(pin["exit"] == 0 for pin, _, _ in pinned_runs)
 
 
 @pytest.mark.parametrize(
@@ -401,40 +385,6 @@ def test_main_entry_point(capsys):
     assert code == 0
     doc = json.loads(captured.out)
     assert doc["result"]["forms"] == [[1, 1, 6], [2, -1, 3], [2, 1, 3]]
-
-
-def test_main_rejects_low_precision(capsys):
-    code = main(["forms", "--disc", "-20", "--precision", "16"])
-    assert code == 2
-    assert "precision" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("level", ["1", "-5"])
-def test_forms_rejects_bad_given_level(capsys, level):
-    code = main(["forms", "--disc", "-20", "-N", level])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert f"level must be an integer >= 2, got {level}" in captured.err
-
-
-def test_parser_requires_level_for_minpoly(capsys):
-    code = main(["minpoly", "--disc", "-20"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert "level" in captured.err
-
-
-@pytest.mark.parametrize(
-    "flag, value",
-    [("--threads", "2"), ("--guard", "64"), ("--snap-tolerance", "1e-10"), ("--format", "text")],
-)
-def test_removed_flags_are_rejected(capsys, flag, value):
-    with pytest.raises(SystemExit) as exc:
-        main(["conjugates", "--disc", "-20", "-N", "6", flag, value])
-    assert exc.value.code == 2
-    assert flag in capsys.readouterr().err
 
 
 # Change detector, not a correctness reference: output_pins.json holds the

@@ -41,6 +41,7 @@ from siegelcm.normal_basis import _least_power
 
 from helpers import agreement_bits
 from oracles import oracle_siegel_g
+from test_acceptance import REFERENCE_POLY_20_6
 from test_siegel_eval import FROZEN_X1
 
 D20 = validate_discriminant(-20)
@@ -50,13 +51,6 @@ EXPECTED_VECTORS_20_6 = [
     (0, 1), (1, 0), (3, 2), (2, 3),  # at the principal CM point
     (3, 2), (1, 5), (3, 1), (5, 4),  # at the other one
 ]
-
-# coefficients of prod(X - x_i) for d=-20, N=6: the raw product of the
-# conjugates, pinned at 128 and 256 bits by
-# test_minimal_polynomial_precision_independent, and recovered without
-# library code by integer-relation detection in
-# test_acceptance.py::test_reference_polynomial_by_integer_relation
-VERIFIED_POLY_20_6 = (1, -1263840, 42016796, 72894400, 150566406, -4525280, 167196, -1280, 1)
 
 
 @pytest.fixture(scope="module")
@@ -332,7 +326,7 @@ def test_record_lists_must_be_the_conjugate_set():
         check_criterion(moved)
     report = check_criterion(recs)
     assert (report.passes, report.group_order, report.m) == (True, 8, 1)
-    assert minimal_polynomial(recs).coefficients == VERIFIED_POLY_20_6
+    assert minimal_polynomial(recs).coefficients == tuple(REFERENCE_POLY_20_6)
 
 
 def test_least_certifying_power_exact_boundaries():
@@ -370,7 +364,7 @@ def test_least_certifying_power_near_one():
 
 def test_minimal_polynomial_level_six_run(records_20_6):
     poly = minimal_polynomial(list(records_20_6))
-    assert poly.coefficients == VERIFIED_POLY_20_6
+    assert poly.coefficients == tuple(REFERENCE_POLY_20_6)
     assert poly.degree == 8
     assert poly.max_rounding_residual < 1e-10
     assert poly.max_imag_residual == 0.0
@@ -438,7 +432,7 @@ def test_minimal_polynomial_rejects_a_partner_off_its_bound(records_20_6, k):
         records[k] = dataclasses.replace(records[k], value=ctx.mpc(z + shift))
         return records
 
-    assert minimal_polynomial(shifted(edge - 1)).coefficients == VERIFIED_POLY_20_6
+    assert minimal_polynomial(shifted(edge - 1)).coefficients == tuple(REFERENCE_POLY_20_6)
     for s in (edge + 1, 8):
         with pytest.raises(EvaluationError, match="error bound"):
             minimal_polynomial(shifted(s))
@@ -447,7 +441,7 @@ def test_minimal_polynomial_rejects_a_partner_off_its_bound(records_20_6, k):
 def test_minimal_polynomial_precision_independent():
     lo = minimal_polynomial(conjugates(D20, 6, precision=128))
     hi = minimal_polynomial(conjugates(D20, 6, precision=256))
-    assert lo.coefficients == hi.coefficients == VERIFIED_POLY_20_6
+    assert lo.coefficients == hi.coefficients == tuple(REFERENCE_POLY_20_6)
 
 
 def test_minimal_polynomial_degree_one():
