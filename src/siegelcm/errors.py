@@ -1,26 +1,27 @@
 """The package's two exception families; each message names the rule that fired.
 
 ``InputError`` (CLI exit code 2) rejects an argument outside the domain: a
-discriminant that is not an integer, negative, 0 or 1 mod 4 and fundamental
+discriminant that is not an int, negative, 0 or 1 mod 4 and fundamental
 (``Discriminant``), one passed as anything but a ``Discriminant``, such as
 a bare int (``reduced_forms``, ``principal_form`` and all that call them),
-d in {-3, -4} (``w_group``), a level that is not an integer >= 2
+d in {-3, -4} (``w_group``), a level that is not an int >= 2
 (``exactmath.require_level``, which ``siegel_eval``'s ``power_exponent``
 and ``siegel_ramachandra_invariant`` apply too), a precision that is not an
-integer >= 2 (``exactmath.context``), a value outside the invariants of
-``QuadIrrational`` or ``QuadForm``, a non-integral field of any value type
-(``exactmath.require_integers``), a ``MatrixModN`` that is not invertible
-mod N, a zero ``FracVector`` mod Z^2 (either takes any representative and
-stores its class mod +-1), mismatched moduli, an empty record list, one
-that repeats a (form, vector) pair or mixes levels, discriminants or
-precisions (``check_criterion``, ``minimal_polynomial``), records that do
-not start with the base value or do not hold #W/{+-1} on each of the h(d)
-reduced forms (``check_criterion``) or are not closed under complex
-conjugation (``minimal_polynomial``), a tau that rounds to a point with an
-infinite or NaN part or off the upper half-plane, a ``siegel_power`` vector
-(v, w) that is not integral or is 0 mod N, a guard that is not an integer
->= 0, the other checks of ``normal_basis``, and ``cli.run``'s two rules: a
-precision of at least 64 bits, and a level for every subcommand but forms.
+int >= 2 (``exactmath.context``), a value outside the invariants of
+``QuadIrrational`` or ``QuadForm``, a field of any value type that is not
+an int, a bool or an integral float included (``exactmath.require_integers``),
+a ``MatrixModN`` that is not invertible mod N, a zero ``FracVector`` mod
+Z^2 (either takes any representative and stores its class mod +-1),
+mismatched moduli, an empty record list, one that repeats a (form, vector)
+pair or mixes levels, discriminants or precisions (``check_criterion``,
+``minimal_polynomial``), records that do not start with the base value or
+do not hold #W/{+-1} on each of the h(d) reduced forms (``check_criterion``)
+or are not closed under complex conjugation (``minimal_polynomial``), a tau
+that rounds to a point with an infinite or NaN part or off the upper
+half-plane, a ``siegel_power`` vector (v, w) that is not a pair of ints or
+is 0 mod N, a guard that is not an int >= 0, the other checks of
+``normal_basis``, and ``cli.run``'s two rules: a precision of at least 64
+bits, and a level for every subcommand but forms.
 
 ``EvaluationError`` (CLI exit code 3) reports valid inputs whose computation
 cannot be completed: a truncation index above its cap (``siegel_power``,

@@ -21,25 +21,15 @@ DEFAULT_PRECISION = 256
 DEFAULT_GUARD = 64
 
 
-def is_integral(x) -> bool:
-    """True if x equals an integer; false for NaN, infinities and non-numbers."""
-    try:
-        return int(x) == x
-    except (TypeError, ValueError, OverflowError):
-        return False
-
-
 def require_integers(obj, *names: str) -> None:
-    """Store the named fields of the frozen dataclass ``obj`` as ints.
+    """Check that the named fields of the dataclass ``obj`` are ints.
 
-    A non-integral field is an InputError; an int costs one type test.
+    Any other type, a bool or an integral float among them, is an InputError.
     """
     for name in names:
         x = getattr(obj, name)
         if type(x) is not int:
-            if not is_integral(x):
-                raise InputError(f"{type(obj).__name__}.{name} must be an integer, got {x!r}")
-            object.__setattr__(obj, name, int(x))
+            raise InputError(f"{type(obj).__name__}.{name} must be an integer, got {x!r}")
 
 
 # Fresh contexts are cloned from mpmath.mp and never mutated afterwards.
@@ -47,13 +37,12 @@ def require_integers(obj, *names: str) -> None:
 def context(bits: int) -> mpmath.ctx_mp.MPContext:
     """An isolated mpmath context with working precision ``bits``.
 
-    The package's one precision check: ``bits`` must be an integer >= 2.
+    The package's one precision check: ``bits`` must be an int >= 2.
     Its mpf and mpc classes are the clone's own, which pickle cannot find
     by name, so they are pickled as (bits, raw tuple) instead.
     """
-    if not is_integral(bits) or bits < 2:
+    if type(bits) is not int or bits < 2:
         raise InputError(f"working precision must be an integer >= 2 bits, got {bits}")
-    bits = int(bits)
     ctx = mpmath.mp.clone()
     ctx.prec = bits
     copyreg.pickle(ctx.mpf, lambda x: (_unpickle, (bits, x._mpf_)))
@@ -62,10 +51,10 @@ def context(bits: int) -> mpmath.ctx_mp.MPContext:
 
 
 def require_level(N: int) -> int:
-    """N as an int if it is an integer >= 2, the level of a ray class field."""
-    if not is_integral(N) or N < 2:
+    """N itself if it is an int >= 2, the level of a ray class field."""
+    if type(N) is not int or N < 2:
         raise InputError(f"level must be an integer >= 2, got {N}")
-    return int(N)
+    return N
 
 
 def prime_powers(N: int) -> list[tuple[int, int]]:

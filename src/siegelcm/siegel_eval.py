@@ -27,7 +27,7 @@ T_j = sum_{wc = j mod N} D_c and, with zeta^j = C_j + i S_j, takes
 four real products for each pair of twists (T_{N/2} only for even N).
 Everything runs in Gaussian integers scaled by 2^W, from tables of q^n
 (n <= M), r^j (j <= N) and 1/eta (Euler's pentagonal series, then one
-division) that one exp per CM point builds and ``_form_tables`` memoizes,
+division) that one expjpi per CM point builds and ``_form_tables`` memoizes,
 and of zeta^j, which one expjpi builds per (N, W) and ``_roots`` memoizes.
 ``_form_tables`` is keyed on the raw tuple of tau rounded to precision +
 guard bits (``mpc_pos``), so a tau given at more bits reaches the entry
@@ -73,10 +73,11 @@ and a = v/N.
   above it only where the quotient is within 2^-40 of itself below an
   integer.  Above Im tau = 1e7 it takes the values at 1e7: M and W only
   shrink as Im tau grows, so they still hold, and no float overflows.
-- Fixed point.  r and zeta come from exp and expjpi at >= W bits and are
-  cut to W bits, so each is off by < 3 units of 2^-W.  For r that needs
-  the exponent 2 pi i tau / N, of modulus below 2^{mag(tau) + 2}, to an
-  absolute error below 2^-W, which exp turns into r's relative error:
+- Fixed point.  r = e^{pi i x} at x = 2 tau / N and zeta = e^{2 pi i/N}
+  come from expjpi at >= W bits and are cut to W bits, so each is off by
+  < 3 units of 2^-W.  expjpi reduces Re x exactly in units of pi and
+  forms pi Im x at a precision raised by its magnitude, so r needs only
+  x, of modulus at most 2^{mag(tau)}, to an absolute error below 2^-W:
   ``_form_tables`` forms it at >= W + max(0, mag(tau)) + 4 bits (rounded
   up to a multiple of 64, like the other contexts it makes), so r keeps
   W-bit accuracy at any Im tau.  Each step of a ladder adds < 1.5 units
@@ -98,7 +99,7 @@ and a = v/N.
   2^{-work-7}, second-order terms included; W - work is 19 to 28 bits at
   the reduced CM points of the benchmark.  With the truncation, P is
   within 2^{-work-2} of the true value.
-- Powers.  r comes from exp at >= W bits, and every step of a binary power
+- Powers.  r comes from expjpi at >= W bits, and each step of a binary power
   cuts its mantissas to W bits, so r^k and P^e amplify the errors above
   |k|-fold and |e|-fold.  With |e| <= 12N and |k| <= N^2 the total before
   the last rounding is below (|e| + |k|) 2^{-work-1}, which the default 64
@@ -139,7 +140,7 @@ import mpmath
 from mpmath.libmp import finf, fnan, fninf, from_man_exp, mpc_pos, to_fixed
 
 from .errors import EvaluationError, InputError
-from .exactmath import DEFAULT_GUARD, DEFAULT_PRECISION, context, is_integral, require_level, to_complex
+from .exactmath import DEFAULT_GUARD, DEFAULT_PRECISION, context, require_level, to_complex
 from .quadforms import Discriminant, theta
 
 # Reduced CM points have Im tau >= sqrt(3)/2, where M is about bits / 8; the
@@ -243,9 +244,9 @@ def _form_tables(point: tuple, level: int, work: int) -> _Tables:
     terms, bits = _budget(tau, level, work)
     # at least W bits, rounded up so that few contexts are ever made
     wide = context(-(-bits // 64) * 64)
-    # the exponent to mag(tau) + 4 more bits, so that r keeps W bits at any Im tau
+    # the argument 2 tau / N to mag(tau) + 4 more bits, so that r keeps W bits at any Im tau
     sharp = context(-(-(bits + max(0, wide.mag(tau)) + 4) // 64) * 64)
-    r = wide.exp(2j * sharp.pi * sharp.mpc(tau) / level)
+    r = wide.expjpi(2 * sharp.mpc(tau) / level)
     rpow = _ladder(_fixed(r, bits), level, bits)
     qpow = _ladder(rpow[level], terms, bits)
     # prod (1 - q^m) by Euler's pentagonal series, over the exponents <= M
@@ -297,25 +298,25 @@ def siegel_power(
 ):
     """g_{(v/N, w/N)}(tau)^e for the level's exponent e = -12N/gcd(6, N).
 
-    (v, w) may be any integers (or integral values) not congruent to
-    (0, 0) mod N; they are reduced into [0,1)^2 before evaluating.  The
-    exponent makes the result depend only on the class of +-(v/N, w/N) mod
-    Z^2, which is what allows labelling conjugates by canonical vectors.
+    (v, w) may be any ints not congruent to (0, 0) mod N; they are
+    reduced into [0,1)^2 before evaluating.  The exponent makes the
+    result depend only on the class of +-(v/N, w/N) mod Z^2, which is
+    what allows labelling conjugates by canonical vectors.
     tau, a finite mpc or complex in the upper half-plane, is rounded to
     precision + guard bits before use.
     """
     level = require_level(level)
-    if not (is_integral(v) and is_integral(w)) or (v % level == 0 and w % level == 0):
+    if type(v) is not int or type(w) is not int or (v % level == 0 and w % level == 0):
         raise InputError(f"(v, w) must be integers, not both 0 mod N, got ({v}, {w})")
-    if not is_integral(guard) or guard < 0:
+    if type(guard) is not int or guard < 0:
         raise InputError(f"guard must be an integer >= 0 bits, got {guard}")
     out = context(precision)
-    work = out.prec + int(guard)
+    work = out.prec + guard
     point = tau._mpc_ if hasattr(tau, "_mpc_") else context(work).mpc(tau)._mpc_  # a complex has none
     point = re, im = mpc_pos(point, work, "n")
     if re in (finf, fninf, fnan) or im[0] or not im[1]:  # im[1], the mantissa, is 0 at 0, inf, nan
         raise InputError("tau must be a finite point of the upper half-plane")
-    return _quotient(*_power_parts(int(v) % level, int(w) % level, point, level, work), out)
+    return _quotient(*_power_parts(v % level, w % level, point, level, work), out)
 
 
 def siegel_ramachandra_invariant(

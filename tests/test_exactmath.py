@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from decimal import Decimal
+from fractions import Fraction
+
 import mpmath
 import pytest
 
@@ -28,7 +31,8 @@ def test_quad_irrational_validation():
         QuadIrrational(p=0.5, q=2, d=-20)
     with pytest.raises(InputError, match="QuadIrrational.d must be an integer"):
         QuadIrrational(p=0, q=2, d=-20.5)
-    assert QuadIrrational(p=0, q=2.0, d=-20) == QuadIrrational(p=0, q=2, d=-20)
+    with pytest.raises(InputError, match=r"QuadIrrational.q must be an integer, got 2.0$"):
+        QuadIrrational(p=0, q=2.0, d=-20)
 
 
 def _close_to_digits(x, digits: str, bits: int = 60) -> bool:
@@ -98,6 +102,12 @@ def test_context_rejects_tiny_precision():
         context(256.5)  # not truncated to 256
     for bits in (float("nan"), float("inf"), "256"):
         with pytest.raises(InputError, match="integer"):
+            context(bits)
+    # 128.0, Fraction(128) and Decimal(128) hash and compare as 128, yet miss its cached
+    # context: lru_cache keys a lone int argument apart from every other type
+    context(128)
+    for bits in (128.0, Fraction(128), Decimal(128)):
+        with pytest.raises(InputError, match=f"integer >= 2 bits, got {bits}$"):
             context(bits)
 
 

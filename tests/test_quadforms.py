@@ -32,9 +32,9 @@ def test_validate_accepts_fundamental():
     # -3, -4 are fine here; only the matrix-group layer rejects them
     assert validate_discriminant(-3).d == -3
     assert validate_discriminant(-4).d == -4
-    # an integral float is stored as an int, as by every other value type
-    assert Discriminant(-20.0) == validate_discriminant(-20) and type(Discriminant(-20.0).d) is int
-    assert len(reduced_forms(Discriminant(-20.0))) == 2
+    # an integral float is not an int, as for every other value type
+    with pytest.raises(InputError, match=r"Discriminant.d must be an integer, got -20.0$"):
+        Discriminant(-20.0)
 
 
 def test_validate_rejections():
@@ -124,7 +124,10 @@ def test_quadform_constructor_rejects_bad_forms():
         QuadForm(1.5, 0, 5)
     with pytest.raises(InputError, match="QuadForm.c must be an integer"):
         QuadForm(1, 0, float("inf"))
-    assert QuadForm(1.0, 0, 5).as_tuple() == (1, 0, 5)
+    with pytest.raises(InputError, match=r"QuadForm.a must be an integer, got 1.0$"):
+        QuadForm(1.0, 0, 5)
+    with pytest.raises(InputError, match=r"QuadForm.a must be an integer, got True$"):
+        QuadForm(True, 0, 5)
 
 
 def test_theta_examples():

@@ -276,8 +276,10 @@ def test_frac_vector_validation():
         FracVector(0, float("nan"), 6)
     with pytest.raises(InputError, match="FracVector.modulus must be an integer"):
         FracVector(0, 1, "6")
-    v = FracVector(0, 1.0, 6)  # an integral float is stored as its int
-    assert v == FracVector(0, 1, 6) and type(v.w) is int
+    with pytest.raises(InputError, match=r"FracVector.w must be an integer, got 1.0$"):
+        FracVector(0, 1.0, 6)
+    with pytest.raises(InputError, match=r"FracVector.w must be an integer, got True$"):
+        FracVector(0, True, 6)
 
 
 def test_matrix_modn_validation():
@@ -290,9 +292,8 @@ def test_matrix_modn_validation():
         MatrixModN(1, 0, 0, 1, 6.5)  # not truncated to level 6
     with pytest.raises(InputError, match="MatrixModN.m12 must be an integer"):
         MatrixModN(1, 0.5, 0, 1, 6)
-    # an integral float modulus is stored as its int
-    m = MatrixModN(1, 0, 0, 1, 6.0)
-    assert m == MatrixModN(1, 0, 0, 1, 6) and type(m.modulus) is int
+    with pytest.raises(InputError, match=r"MatrixModN.modulus must be an integer, got 6.0$"):
+        MatrixModN(1, 0, 0, 1, 6.0)
     # stored as the smaller of (5, 1, 3, 4) and its negation (1, 5, 3, 2)
     assert MatrixModN(5, 1, 3, 4, 6).entries() == (1, 5, 3, 2)
     assert MatrixModN(5, 1, 3, 4, 6) == MatrixModN(1, 5, 3, 2, 6)

@@ -354,9 +354,8 @@ def test_power_exponent():
     assert power_exponent(5) == -60
     assert power_exponent(4) == -24
     assert power_exponent(2) == -12
-    # the level follows the one level rule: integral and >= 2
-    assert power_exponent(6.0) == -12
-    for level in ("6", 1, 0, -6, True):
+    # the level follows the one level rule: an int >= 2
+    for level in ("6", 1, 0, -6, True, 6.0):
         with pytest.raises(InputError, match=f"got {level}$"):
             power_exponent(level)
 
@@ -425,8 +424,10 @@ def test_params_validation():
         siegel_power(0, 1, TAU_I, 6, precision=256.5)  # not truncated to 256
     with pytest.raises(InputError, match="must be integers"):
         siegel_power(0.5, 1, TAU_I, 6)
-    # integral entries follow the level's rule and are accepted
-    assert siegel_power(1.0, 1, TAU_I, 6) == siegel_power(1, 1, TAU_I, 6)
+    # v and w follow the level's rule: an integral float or a bool is not an int
+    for v in (1.0, True):
+        with pytest.raises(InputError, match=rf"must be integers, not both 0 mod N, got \({v}, 1\)$"):
+            siegel_power(v, 1, TAU_I, 6)
     assert siegel_power(1, 1, 1j, 6) == siegel_power(1, 1, TAU_I, 6)  # a Python complex tau
     with pytest.raises(InputError, match="integer >= 2 bits"):
         conjugates(validate_discriminant(-20), 6, precision=256.5)
@@ -449,17 +450,7 @@ def test_tau_must_be_a_finite_point_of_the_upper_half_plane(tau):
         siegel_power(0, 1, tau, 6, precision=64)
 
 
-def test_an_integral_float_precision_is_its_integer():
-    d = validate_discriminant(-20)
-    assert siegel_power(0, 1, TAU_I, 6, precision=128.0)._mpc_ == siegel_power(0, 1, TAU_I, 6, precision=128)._mpc_
-    floats, ints = conjugates(d, 6, precision=128.0), conjugates(d, 6, precision=128)
-    assert [rec.value._mpc_ for rec in floats] == [rec.value._mpc_ for rec in ints]
-    invariant = siegel_ramachandra_invariant(d, 6, precision=128.0)._mpc_
-    assert invariant == siegel_ramachandra_invariant(d, 6, precision=128)._mpc_
-    assert to_complex(theta(d), 128.0)._mpc_ == to_complex(theta(d), 128)._mpc_
-
-
-@pytest.mark.parametrize("precision", ["256", None, 12.5, -63, 1.5])
+@pytest.mark.parametrize("precision", ["256", None, 12.5, -63, 1.5, 128.0])
 @pytest.mark.parametrize(
     "evaluate",
     [
