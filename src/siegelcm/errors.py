@@ -15,13 +15,14 @@ Z^2 (either takes any representative and stores its class mod +-1),
 mismatched moduli, an empty record list, one that repeats a (form, vector)
 pair or mixes levels, discriminants or precisions (``check_criterion``,
 ``minimal_polynomial``), records that do not start with the base value or
-do not hold #W/{+-1} on each of the h(d) reduced forms (``check_criterion``)
-or are not closed under complex conjugation (``minimal_polynomial``), a tau
-that rounds to a point with an infinite or NaN part or off the upper
-half-plane, a ``siegel_power`` vector (v, w) that is not a pair of ints or
-is 0 mod N, a guard that is not an int >= 0, the other checks of
-``normal_basis``, and ``cli.run``'s two rules: a precision of at least 64
-bits, and a level for every subcommand but forms.
+do not carry exactly the (W class, form) labels of ``conjugate_indices``,
+each once (``check_criterion``), or are not closed under complex
+conjugation (``minimal_polynomial``), a tau that rounds to a point with an
+infinite or NaN part or off the upper half-plane, a ``siegel_power``
+vector (v, w) that is not a pair of ints or is 0 mod N, a guard that is
+not an int >= 0, the other checks of ``normal_basis``, and ``cli.run``'s
+two rules: a precision of at least 64 bits, and a level for every
+subcommand but forms.
 
 ``EvaluationError`` (CLI exit code 3) reports valid inputs whose computation
 cannot be completed: a truncation index above its cap (``siegel_power``,

@@ -22,8 +22,8 @@ from .errors import EvaluationError, InputError, SnapFailureError
 from .exactmath import (
     DEFAULT_GUARD, DEFAULT_PRECISION, conjugate_key, context, to_complex,
 )
-from .quadforms import Discriminant, QuadForm, reduced_forms, theta_of_form
-from .reciprocity import FracVector, MatrixModN, _w_order, act_vector, beta_modN, conjugate_indices
+from .quadforms import Discriminant, QuadForm, theta_of_form
+from .reciprocity import FracVector, MatrixModN, act_vector, beta_modN, conjugate_indices
 # the invariant is bound here too, where the benchmark's tracer resolves it
 from .siegel_eval import siegel_power, siegel_ramachandra_invariant  # noqa: F401
 
@@ -212,11 +212,13 @@ def check_criterion(records: list[ConjugateRecord]) -> CriterionReport:
 
     Ratios are moduli relative to the base record, which must come first
     (identity class, principal form, vector (0, 1); else InputError).  The
-    group order #G = h(d) #W/{+-1} comes from d and N of the base record,
-    and a list without #W/{+-1} records on each of the h(d) reduced forms
-    is an InputError.  Each modulus is rounded to the records' one
-    precision p and each quotient to p + 16 bits, all to nearest, on
-    mpmath's raw tuples.  A value and its conjugate have one
+    records must carry exactly the (W class, form) labels (alpha, form) of
+    ``conjugate_indices`` at d and N of the base record, each once, the
+    index set that ``conjugates`` enumerates; any other list is an
+    InputError.  The group order #G = h(d) #W/{+-1} is its size.  The
+    vectors are not checked against their labels.  Each modulus is rounded
+    to the records' one precision p and each quotient to p + 16 bits, all
+    to nearest, on mpmath's raw tuples.  A value and its conjugate have one
     ``conjugate_key`` and share one modulus and quotient, which see Im z
     only through its square.  The maximum gets the 2^-64 safety margin
     before the < 1 test and before the exponent search.
@@ -226,16 +228,14 @@ def check_criterion(records: list[ConjugateRecord]) -> CriterionReport:
     # a reduced form with a = 1 is the principal form
     if not (first.alpha.is_identity() and first.form.a == 1 and first.vector.as_tuple() == (0, 1)):
         raise InputError("the first record must be the base: identity, principal form, (0, 1)")
-    d = Discriminant(first.form.discriminant)
-    forms, w = reduced_forms(d), _w_order(d, first.vector.modulus)
-    group_order = len(forms) * w
-    if len(records) != group_order:
-        raise InputError(f"got {len(records)} records, but the conjugate set has {group_order}")
-    per_form = {}
-    for rec in records:
-        per_form[rec.form] = per_form.get(rec.form, 0) + 1
-    if per_form != dict.fromkeys(forms, w):
-        raise InputError(f"the conjugate set has {w} records on each of the {len(forms)} forms")
+    forms, group = conjugate_indices(Discriminant(first.form.discriminant), first.vector.modulus)
+    group_order = len(forms) * len(group)
+    labels = {(alpha, Q) for Q in forms for alpha in group}
+    if len(records) != group_order or {(r.alpha, r.form) for r in records} != labels:
+        raise InputError(
+            f"got {len(records)} records, not the {group_order} (W class, form) "
+            f"labels of the conjugate set, each once"
+        )
     base = mpc_abs(first.value._mpc_, p, "n")
     # conj(z) has the modulus of z: one quotient per conjugate_key; finite over
     # finite and non-zero, every quotient is finite, so the largest is exact

@@ -150,22 +150,6 @@ def w_group(d: Discriminant, N: int) -> list[MatrixModN]:
     return sorted(group, key=lambda m: (not m.is_identity(), m.m22, m.m21))
 
 
-def _w_order(d: Discriminant, N: int) -> int:
-    """#W/{+-1} in closed form: phi_K(N)/2 for N > 2 and phi_K(2) for N = 2.
-
-    phi_K(N) = N^2 prod_{p | N} (1 - 1/p)(1 - chi_d(p)/p) counts the units
-    of O_K/N, where 1 + chi_d(p) is the number of roots of theta's
-    polynomial X^2 + BX + C mod p.  This is len(w_group(d, N)) without
-    its O(N^2) loop.
-    """
-    _, B, C = principal_form(d).as_tuple()
-    phi = N * N
-    for p, _ in prime_powers(N):
-        roots = sum((x * x + B * x + C) % p == 0 for x in range(p))
-        phi = phi * (p - 1) * (p + 1 - roots) // (p * p)
-    return phi if N == 2 else phi // 2
-
-
 def act_vector(vec: FracVector, M: MatrixModN) -> FracVector:
     """Right action (v, w) -> (v, w) M mod N, reduced to canonical form."""
     if vec.modulus != M.modulus:

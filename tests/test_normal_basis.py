@@ -6,6 +6,7 @@ import dataclasses
 import math
 import os
 import pickle
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,6 +19,7 @@ from siegelcm import (
     EvaluationError,
     FracVector,
     InputError,
+    MatrixModN,
     SnapFailureError,
     act_vector,
     beta_modN,
@@ -40,7 +42,7 @@ from siegelcm import normal_basis
 from siegelcm.normal_basis import _least_power
 
 from helpers import agreement_bits
-from oracles import oracle_siegel_g
+from oracles import oracle_frobenius_holds, oracle_siegel_g, oracle_split_primes
 from test_acceptance import REFERENCE_POLY_20_6
 from test_siegel_eval import FROZEN_X1
 
@@ -233,6 +235,20 @@ def test_check_criterion_ratios_are_mpmath_quotients(d, N, p):
     assert report.m == m
 
 
+@pytest.mark.parametrize("d, N", [(-71, 30), (-1031, 7)])
+def test_check_criterion_does_not_depend_on_the_order_after_the_base(d, N):
+    # the label set is a set: after the base, any order of the records gives
+    # the same verdict, m, #G and maximum, and the ratios follow the records
+    recs = conjugates(validate_discriminant(d), N, precision=64)
+    shuffled = recs[:1] + random.Random(d * N).sample(recs[1:], len(recs) - 1)
+    assert shuffled != recs
+    ordered, reordered = check_criterion(recs), check_criterion(shuffled)
+    assert (reordered.passes, reordered.m, reordered.group_order, reordered.max_ratio) == (
+        ordered.passes, ordered.m, ordered.group_order, ordered.max_ratio
+    )
+    assert sorted(reordered.ratios) == sorted(ordered.ratios)
+
+
 def test_check_criterion_single_record():
     recs = conjugates(validate_discriminant(-7), 2, precision=128)
     report = check_criterion(recs)
@@ -301,7 +317,7 @@ def test_record_lists_must_be_the_conjugate_set():
         with pytest.raises(InputError, match="repeat a"):
             consumer(twice)
     # the base form's four records alone: #G is h(-20) #W/{+-1} = 2 * 4 = 8, not 4
-    with pytest.raises(InputError, match="got 4 records, but the conjugate set has 8"):
+    with pytest.raises(InputError, match=r"got 4 records, not the 8 \(W class, form\) labels"):
         check_criterion(recs[:4])
     # one non-base value at 256 bits: the list would carry two radii 2^-p |x|
     wider = conjugates(D20, 6, precision=256)[5].value
@@ -319,11 +335,24 @@ def test_record_lists_must_be_the_conjugate_set():
     # an extra level-3 record is a rejected list, not a failed snap (exit 3)
     with pytest.raises(InputError, match=r"got N \[3, 6\], d \[-20\]"):
         minimal_polynomial(recs + [lower])
-    # every form carries its W block: the last record moved onto the
-    # principal form, whose vectors do not include its (5, 4), leaves 5 + 3
+    # every label once: the last record moved onto the principal form, whose
+    # vectors do not include its (5, 4), repeats record 3's label; record 5
+    # relabelled with record 4's alpha repeats (identity, (2, 2, 3)),
+    # and record 5 given the invertible (1, 1; 0, 1), which is no W class,
+    # leaves its label outside the set; each keeps 8 records and distinct
+    # (form, vector) pairs, so only the label set stops it
     moved = recs[:-1] + [dataclasses.replace(recs[-1], form=recs[0].form)]
-    with pytest.raises(InputError, match="4 records on each of the 2 forms"):
-        check_criterion(moved)
+    twin = recs[:5] + [dataclasses.replace(recs[5], alpha=recs[4].alpha)] + recs[6:]
+    stray = recs[:5] + [dataclasses.replace(recs[5], alpha=MatrixModN(1, 1, 0, 1, 6))] + recs[6:]
+    assert MatrixModN(1, 1, 0, 1, 6) not in w_group(D20, 6)
+    for relabelled in (moved, twin, stray):
+        with pytest.raises(InputError, match=r"got 8 records, not the 8 \(W class, form\) labels"):
+            check_criterion(relabelled)
+    # a ninth record on a label already present, with a vector no record has,
+    # leaves the label set whole: only the count stops it
+    extra = dataclasses.replace(recs[5], alpha=recs[4].alpha, vector=FracVector(1, 1, 6))
+    with pytest.raises(InputError, match=r"got 9 records, not the 8 \(W class, form\) labels"):
+        check_criterion(recs + [extra])
     report = check_criterion(recs)
     assert (report.passes, report.group_order, report.m) == (True, 8, 1)
     assert minimal_polynomial(recs).coefficients == tuple(REFERENCE_POLY_20_6)
@@ -403,6 +432,26 @@ def test_minimal_polynomial_matches_complex_expansion(d, N):
     assert all(abs(c.imag) < 1e-10 for c in coeffs)
     expected = tuple(int(ctx.nint(c.real)) for c in coeffs)
     assert minimal_polynomial(records).coefficients == expected
+
+
+@pytest.mark.parametrize(
+    "d, N, p", [(-11, 5, 256), (-19, 5, 256), (-19, 6, 256), (-20, 6, 256), (-24, 6, 256), (-95, 12, 512)]
+)
+def test_snapped_polynomials_split_as_the_frobenius_orders(d, N, p):
+    # mod a prime t + s theta of K, the roots of the snapped polynomial lie
+    # in F_(p^k) for k the order of t + s theta in (O_K/N)^*/{+-1}, and not
+    # all in a smaller field; adding 1 to the X^(n/2) coefficient breaks
+    # that at each prime (n >= 8 and k > 1: at n <= 4 and k <= 2 a mutant
+    # can pass one prime by chance)
+    coefficients = list(minimal_polynomial(conjugates(validate_discriminant(d), N, precision=p)).coefficients)
+    n = len(coefficients) - 1
+    mutant = coefficients.copy()
+    mutant[n // 2] += 1
+    primes = oracle_split_primes(d, N, coefficients, 3)
+    assert n >= 8 and len(primes) == 3 and all(k > 1 for _, k in primes)
+    for prime, k in primes:
+        assert oracle_frobenius_holds(coefficients, prime, k), (prime, k)
+        assert not oracle_frobenius_holds(mutant, prime, k), (prime, k)
 
 
 def test_minimal_polynomial_needs_every_partner(records_20_6):
