@@ -12,12 +12,11 @@ int >= 2 (``exactmath.context``), a value outside the invariants of
 an int, a bool or an integral float included (``exactmath.require_integers``),
 a ``MatrixModN`` that is not invertible mod N, a zero ``FracVector`` mod
 Z^2 (either takes any representative and stores its class mod +-1),
-mismatched moduli, an empty record list, one that repeats a (form, vector)
-pair or mixes levels, discriminants or precisions (``check_criterion``,
-``minimal_polynomial``), records that do not start with the base value or
-do not carry exactly the (W class, form) labels of ``conjugate_indices``,
-each once (``check_criterion``), or are not closed under complex
-conjugation (``minimal_polynomial``), a tau that rounds to a point with an
+mismatched moduli, an empty record list, one that mixes levels,
+discriminants or precisions, or one that is not the whole conjugate set of
+its d and N, each (W class, form, vector) triple once (``check_criterion``,
+``minimal_polynomial``), records that do not start with the base value
+(``check_criterion``), a tau that rounds to a point with an
 infinite or NaN part or off the upper half-plane, a ``siegel_power``
 vector (v, w) that is not a pair of ints or is 0 mod N, a guard that is
 not an int >= 0, the other checks of ``normal_basis``, and ``cli.run``'s

@@ -105,73 +105,89 @@ def _partner(Q: QuadForm, vector: FracVector) -> tuple[tuple[int, int, int], Fra
     return (a, -b, c), FracVector(v, -w, N)
 
 
-def conjugates(
-    d: Discriminant, N: int, precision: int = DEFAULT_PRECISION
-) -> list[ConjugateRecord]:
-    """Evaluate every conjugate of the base value, identity record first.
-
-    The records run over forms Q, principal first, and within each over
-    the W classes alpha, identity first.  Record (alpha, Q) has the vector
-    (0, 1) alpha beta_Q in canonical form and the value the -12N/gcd(6,N)
-    power of g at the CM point of Q, carried at ``precision`` bits (with a
-    fixed DEFAULT_GUARD = 64 extra working bits); beta_Q is made once per
-    form, tau, the CM point rounded to precision + 64 bits, at the form's
-    first evaluated vector, and (0, 1) alpha once per class; siegel_eval's
-    "Rounded CM points" bounds the error relative to g at the exact CM
-    point.  The principal form has beta = 1, so the first record is the
-    base value itself with vector (0, 1).
-
-    Complex conjugation saves about half the evaluations.  ``_partner``
-    maps each record to the one whose value is its complex conjugate.  A
-    form with b < 0 has its partner records on the form (a, -b, c), which
-    sorts after it, so each value evaluated there is kept under its
-    partner's key, and the partner's record takes its exact conjugate.
-    Every other record is evaluated, among them all records of the forms
-    that are their own partner (b = 0, b = a or a = c).
-    """
-    precision = context(precision).prec
+def _index(d: Discriminant, N: int) -> list[tuple[MatrixModN, QuadForm, FracVector]]:
+    """The conjugate set of d and N: its (alpha, Q, vector) triples in record order."""
     forms, group = conjugate_indices(d, N)
     base = FracVector(0, 1, N)
     starts = [act_vector(base, alpha) for alpha in group]
-    records = []
-    mirrored = {}
+    triples = []
     for Q in forms:
-        beta, tau = beta_modN(Q, N), None
-        form = Q.as_tuple()
-        for alpha, start in zip(group, starts):
-            vector = act_vector(start, beta)
-            known = mirrored.get((form, vector))
-            if known is not None:
-                value = known.conjugate()
-            else:
-                if tau is None:  # a form whose every value is mirrored needs no CM point
-                    tau = to_complex(theta_of_form(Q), precision + DEFAULT_GUARD)
-                value = siegel_power(vector.v, vector.w, tau, N,
-                                     precision=precision, guard=DEFAULT_GUARD)
-                if Q.b < 0:
-                    mirrored[_partner(Q, vector)] = value
-            records.append(ConjugateRecord(alpha, Q, vector, value))
+        beta = beta_modN(Q, N)
+        triples += [(alpha, Q, act_vector(start, beta)) for alpha, start in zip(group, starts)]
+    return triples
+
+
+def _partners(triples: list[tuple[MatrixModN, QuadForm, FracVector]]) -> list[int]:
+    """For each triple of a whole conjugate set, the position of its ``_partner``."""
+    position = {(Q.as_tuple(), vector): i for i, (_, Q, vector) in enumerate(triples)}
+    return [position[_partner(Q, vector)] for _, Q, vector in triples]
+
+
+def conjugates(d: Discriminant, N: int, precision: int = DEFAULT_PRECISION) -> list[ConjugateRecord]:
+    """Evaluate every conjugate of the base value, identity record first.
+
+    The records run over forms Q, principal first, and within each over
+    the W classes alpha, identity first, as ``_index`` lists them.  Record
+    (alpha, Q) has the vector (0, 1) alpha beta_Q in canonical form and
+    the value the -12N/gcd(6,N) power of g at the CM point of Q, carried
+    at ``precision`` bits (with a fixed DEFAULT_GUARD = 64 extra working
+    bits); tau, the CM point rounded to precision + 64 bits, is made at the
+    form's first evaluated vector; siegel_eval's "Rounded CM points" bounds
+    the error relative to g at the exact CM point.  The principal form has
+    beta = 1, so the first record is the base value itself with vector
+    (0, 1).
+
+    Complex conjugation saves about half the evaluations.  A record whose
+    partner comes earlier and lies on another form takes the exact
+    conjugate of the partner's value: a form with b < 0 has its partner
+    records on the form (a, -b, c), which sorts after it.  Every other
+    record is evaluated, among them all records of the forms that are
+    their own partner (b = 0, b = a or a = c).
+    """
+    precision = context(precision).prec
+    triples = _index(d, N)
+    partner = _partners(triples)
+    records, points = [], {}
+    for i, (alpha, Q, vector) in enumerate(triples):
+        j = partner[i]
+        if j < i and triples[j][1] != Q:
+            value = records[j].value.conjugate()
+        else:
+            tau = points.get(Q)
+            if tau is None:  # a form whose every value is mirrored needs no CM point
+                tau = points[Q] = to_complex(theta_of_form(Q), precision + DEFAULT_GUARD)
+            value = siegel_power(vector.v, vector.w, tau, N, precision=precision, guard=DEFAULT_GUARD)
+        records.append(ConjugateRecord(alpha, Q, vector, value))
     return records
 
 
 def _checked(records: list[ConjugateRecord]) -> int:
     """The records' one precision p, after the checks both consumers share.
 
-    An empty list, one that repeats a (form, vector) pair, or one that
-    mixes levels N, discriminants d or precisions is a rejected argument
-    (InputError); a zero, NaN or infinite value at any index is a failed
-    evaluation (EvaluationError).
+    An empty list, one that mixes levels N, discriminants d or precisions,
+    or one whose (alpha, form, vector) triples are not those of ``_index``
+    at its d and N, each once, is an InputError that names the first record
+    outside the set; a zero, NaN or infinite value is an EvaluationError.
     """
     if not records:
         raise InputError("need at least one conjugate record")
-    if len({(r.form, r.vector) for r in records}) < len(records):
-        raise InputError("records repeat a (form, vector) pair")
     Ns, ds = {r.vector.modulus for r in records}, {r.form.discriminant for r in records}
     if len(Ns) > 1 or len(ds) > 1:
         raise InputError(f"records must share one N and one d, got N {sorted(Ns)}, d {sorted(ds)}")
     precisions = {r.value.context.prec for r in records}
     if len(precisions) > 1:
         raise InputError(f"records must share one precision, got {sorted(precisions)} bits")
+    (d,), (N,) = ds, Ns
+    position = {triple: i for i, triple in enumerate(_index(Discriminant(d), N))}
+    where = []
+    for k, r in enumerate(records):
+        i = position.get((r.alpha, r.form, r.vector))
+        if i is None:
+            label = f"W class {r.alpha.entries()}, form {r.form.as_tuple()}, vector {r.vector.as_tuple()}"
+            raise InputError(f"record {k} ({label}) is not a conjugate of d = {d}, N = {N}")
+        where.append(i)
+    if sorted(where) != list(range(len(position))):
+        raise InputError(f"got {len(records)} records, not each of the {len(position)} conjugates once")
     # a special mpf (zero, an infinity or NaN) has mantissa 0: at most one part may be, and only 0
     if any([part for part in r.value._mpc_ if not part[1]] not in ([], [fzero]) for r in records):
         raise EvaluationError("a conjugate is zero or NaN, or infinite")
@@ -212,30 +228,21 @@ def check_criterion(records: list[ConjugateRecord]) -> CriterionReport:
 
     Ratios are moduli relative to the base record, which must come first
     (identity class, principal form, vector (0, 1); else InputError).  The
-    records must carry exactly the (W class, form) labels (alpha, form) of
-    ``conjugate_indices`` at d and N of the base record, each once, the
-    index set that ``conjugates`` enumerates; any other list is an
-    InputError.  The group order #G = h(d) #W/{+-1} is its size.  The
-    vectors are not checked against their labels.  Each modulus is rounded
-    to the records' one precision p and each quotient to p + 16 bits, all
-    to nearest, on mpmath's raw tuples.  A value and its conjugate have one
-    ``conjugate_key`` and share one modulus and quotient, which see Im z
-    only through its square.  The maximum gets the 2^-64 safety margin
-    before the < 1 test and before the exponent search.
+    records must be the whole conjugate set of ``_index`` at their d and N,
+    each (alpha, form, vector) once; any other list is an InputError.  The
+    group order #G = h(d) #W/{+-1} is the set's size.  Each modulus is
+    rounded to the records' one precision p and each quotient to p + 16
+    bits, all to nearest, on mpmath's raw tuples.  A value and its
+    conjugate have one ``conjugate_key`` and share one modulus and
+    quotient, which see Im z only through its square.  The maximum gets the
+    2^-64 safety margin before the < 1 test and before the exponent search.
     """
     p = _checked(records)
     first = records[0]
     # a reduced form with a = 1 is the principal form
     if not (first.alpha.is_identity() and first.form.a == 1 and first.vector.as_tuple() == (0, 1)):
         raise InputError("the first record must be the base: identity, principal form, (0, 1)")
-    forms, group = conjugate_indices(Discriminant(first.form.discriminant), first.vector.modulus)
-    group_order = len(forms) * len(group)
-    labels = {(alpha, Q) for Q in forms for alpha in group}
-    if len(records) != group_order or {(r.alpha, r.form) for r in records} != labels:
-        raise InputError(
-            f"got {len(records)} records, not the {group_order} (W class, form) "
-            f"labels of the conjugate set, each once"
-        )
+    group_order = len(records)
     base = mpc_abs(first.value._mpc_, p, "n")
     # conj(z) has the modulus of z: one quotient per conjugate_key; finite over
     # finite and non-zero, every quotient is finite, so the largest is exact
@@ -264,18 +271,17 @@ def check_criterion(records: list[ConjugateRecord]) -> CriterionReport:
 def minimal_polynomial(records: list[ConjugateRecord]) -> IntPolynomial:
     """Expand prod (X - value) over the records and snap to integers.
 
-    The product is real, so it runs over conjugate pairs: ``_partner``
-    names each record's partner exactly, a pair contributes
-    X^2 - 2 Re(z) X + |z|^2 and a record that is its own partner (a real
-    value) contributes X - Re(z).  The factors are multiplied in ascending
-    order of |z| (by binary exponent, ties in record order), so the
-    coefficients grow to full size only in the last products.  A record
-    whose partner is missing, two records with the same form and vector,
-    or a list that mixes N, d or precisions is an InputError.  Each partner
-    must lie within 2^(2-p) |z| of conj(z), and a real value's |Im z|
-    within half of that, p being the records' one precision: both values
-    carry a relative error below 2^-p, so a larger gap is an
-    EvaluationError.
+    The records must be the whole conjugate set of ``_index`` at their d
+    and N, each (alpha, form, vector) once, in any order; any other list is
+    an InputError.  The product is real, so it runs over conjugate pairs:
+    ``_partners`` names each record's partner, a pair contributes
+    X^2 - 2 Re(z) X + |z|^2 at its first record and a real value (its own
+    partner) X - Re(z).  The factors are multiplied in ascending order of
+    |z| (by binary exponent, ties in record order), so the coefficients
+    grow to full size only in the last products.  Each partner must lie
+    within 2^(2-p) |z| of conj(z), and a real value's |Im z| within half of
+    that, p being the records' one precision: both values carry a relative
+    error below 2^-p, so a larger gap is an EvaluationError.
 
     Coefficients are Python integers scaled by 2^F, F = p + 64.  Every
     integer step truncates by less than one unit 2^-F: each Re z and Im z
@@ -289,28 +295,23 @@ def minimal_polynomial(records: list[ConjugateRecord]) -> IntPolynomial:
     """
     p = _checked(records)
     F = p + 64
-    by_key = {(r.form.as_tuple(), r.vector): r for r in records}
-    done, factors = set(), []
-    for key, rec in by_key.items():
-        if key in done:
+    factors = []
+    partners = _partners([(r.alpha, r.form, r.vector) for r in records])
+    for k, (rec, j) in enumerate(zip(records, partners)):
+        if j < k:  # the pair's factor came at its first record
             continue
         z = rec.value
-        partner_key = _partner(rec.form, rec.vector)
-        partner = by_key.get(partner_key)
-        if partner is None:
-            raise InputError("records are not closed under complex conjugation")
         # |partner - conj z|^2 > 2^(4-2p) |z|^2, exactly: the four raw parts as
         # integers aligned to their least exponent (z is finite and non-zero)
-        parts = (*z._mpc_, *partner.value._mpc_)
+        parts = (*z._mpc_, *records[j].value._mpc_)
         low = min(exp for _, man, exp, _ in parts if man)
         a, b, c, d = ((-man if s else man) << (exp - low) if man else 0 for s, man, exp, _ in parts)
         if ((c - a) ** 2 + (d + b) ** 2) << 2 * p > (a * a + b * b) << 4:
             raise EvaluationError(
-                f"conjugate pair at form {key[0]}, vector {key[1].as_tuple()} "
+                f"conjugate pair at form {rec.form.as_tuple()}, vector {rec.vector.as_tuple()} "
                 f"disagrees beyond its error bound"
             )
-        done.add(partner_key)
-        factors.append((z, partner_key == key))
+        factors.append((z, j == k))
     factors.sort(key=lambda factor: factor[0].context.mag(factor[0]))
     coeffs = [1 << F]
     for z, real in factors:

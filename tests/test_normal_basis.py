@@ -20,6 +20,7 @@ from siegelcm import (
     FracVector,
     InputError,
     MatrixModN,
+    QuadForm,
     SnapFailureError,
     act_vector,
     beta_modN,
@@ -174,6 +175,8 @@ def test_rounding_the_cm_point_stays_within_its_bound(d, N, p):
         (-95, 12, 512, 40),
         (-23, 8, 128, 16),
         (-20, 6, 256, 8),  # both forms mirror into themselves: all evaluated
+        (-15, 7, 128, 48),  # (2, 1, 2) has a = c: its partners stay on it
+        (-55, 6, 128, 12),  # (4, 3, 4) likewise, beside the mirror pair (2, +-1, 7)
     ],
 )
 def test_conjugates_evaluates_one_form_of_each_mirror_pair(monkeypatch, d, N, p, calls):
@@ -297,6 +300,8 @@ def test_records_and_report_pickle():
     )
     back = pickle.loads(done.stdout)
     assert back == recs
+    # the index compares records by value: the unpickled list certifies alike
+    assert check_criterion(back) == report
     assert back[0].value.context.prec == 320
 
 
@@ -309,16 +314,13 @@ def test_record_lists_must_be_the_conjugate_set():
     # without the base first, or with a record twice, the ratios or the
     # group order (and so m) would not be those of the conjugate set
     recs = conjugates(D20, 6, precision=128)
-    for broken in (recs[1:], recs[::-1]):
-        with pytest.raises(InputError, match="first record must be the base"):
-            check_criterion(broken)
-    twice = recs + [recs[3]]
-    for consumer in (check_criterion, minimal_polynomial):
-        with pytest.raises(InputError, match="repeat a"):
-            consumer(twice)
+    with pytest.raises(InputError, match="first record must be the base"):
+        check_criterion(recs[::-1])
     # the base form's four records alone: #G is h(-20) #W/{+-1} = 2 * 4 = 8, not 4
-    with pytest.raises(InputError, match=r"got 4 records, not the 8 \(W class, form\) labels"):
-        check_criterion(recs[:4])
+    for partial, count in ((recs[1:], 7), (recs[:4], 4), (recs + [recs[3]], 9)):
+        for consumer in (check_criterion, minimal_polynomial):
+            with pytest.raises(InputError, match=rf"got {count} records, not each of the 8 conjugates once"):
+                consumer(partial)
     # one non-base value at 256 bits: the list would carry two radii 2^-p |x|
     wider = conjugates(D20, 6, precision=256)[5].value
     mixed = recs[:5] + [dataclasses.replace(recs[5], value=wider)] + recs[6:]
@@ -335,24 +337,28 @@ def test_record_lists_must_be_the_conjugate_set():
     # an extra level-3 record is a rejected list, not a failed snap (exit 3)
     with pytest.raises(InputError, match=r"got N \[3, 6\], d \[-20\]"):
         minimal_polynomial(recs + [lower])
-    # every label once: the last record moved onto the principal form, whose
-    # vectors do not include its (5, 4), repeats record 3's label; record 5
-    # relabelled with record 4's alpha repeats (identity, (2, 2, 3)),
-    # and record 5 given the invertible (1, 1; 0, 1), which is no W class,
-    # leaves its label outside the set; each keeps 8 records and distinct
-    # (form, vector) pairs, so only the label set stops it
+    # each record's (W class, form, vector) triple must be in the set: the
+    # last record moved onto the principal form, whose vectors do not
+    # include its (5, 4); record 5 relabelled with record 4's alpha; record
+    # 5 given the invertible (1, 1; 0, 1), which is no W class; a ninth
+    # record on a label already present, with a vector no record has;
+    # record 5's vector set to (0, 1); and records 1 and 2, both on
+    # (1, 0, 5), with their vectors swapped. The last two keep every
+    # (W class, form) label once and distinct (form, vector) pairs, and the
+    # swapped list is even closed under complex conjugation
     moved = recs[:-1] + [dataclasses.replace(recs[-1], form=recs[0].form)]
     twin = recs[:5] + [dataclasses.replace(recs[5], alpha=recs[4].alpha)] + recs[6:]
     stray = recs[:5] + [dataclasses.replace(recs[5], alpha=MatrixModN(1, 1, 0, 1, 6))] + recs[6:]
     assert MatrixModN(1, 1, 0, 1, 6) not in w_group(D20, 6)
-    for relabelled in (moved, twin, stray):
-        with pytest.raises(InputError, match=r"got 8 records, not the 8 \(W class, form\) labels"):
-            check_criterion(relabelled)
-    # a ninth record on a label already present, with a vector no record has,
-    # leaves the label set whole: only the count stops it
-    extra = dataclasses.replace(recs[5], alpha=recs[4].alpha, vector=FracVector(1, 1, 6))
-    with pytest.raises(InputError, match=r"got 9 records, not the 8 \(W class, form\) labels"):
-        check_criterion(recs + [extra])
+    extra = recs + [dataclasses.replace(recs[5], alpha=recs[4].alpha, vector=FracVector(1, 1, 6))]
+    forged = recs[:5] + [dataclasses.replace(recs[5], vector=FracVector(0, 1, 6))] + recs[6:]
+    assert recs[1].form == recs[2].form == QuadForm(1, 0, 5)
+    swapped = recs[:1] + [dataclasses.replace(recs[1], vector=recs[2].vector),
+                          dataclasses.replace(recs[2], vector=recs[1].vector)] + recs[3:]
+    for broken, k in ((moved, 7), (twin, 5), (stray, 5), (extra, 8), (forged, 5), (swapped, 1)):
+        for consumer in (check_criterion, minimal_polynomial):
+            with pytest.raises(InputError, match=rf"record {k} \(W class .*\) is not a conjugate of d = -20, N = 6"):
+                consumer(broken)
     report = check_criterion(recs)
     assert (report.passes, report.group_order, report.m) == (True, 8, 1)
     assert minimal_polynomial(recs).coefficients == tuple(REFERENCE_POLY_20_6)
@@ -458,9 +464,9 @@ def test_minimal_polynomial_needs_every_partner(records_20_6):
     records = list(records_20_6)
     dropped = records.pop(5)
     assert normal_basis._partner(dropped.form, dropped.vector) != _key(dropped)
-    with pytest.raises(InputError, match="not closed under complex conjugation"):
+    with pytest.raises(InputError, match="got 7 records, not each of the 8 conjugates once"):
         minimal_polynomial(records)
-    with pytest.raises(InputError, match="repeat"):
+    with pytest.raises(InputError, match="got 9 records, not each of the 8 conjugates once"):
         minimal_polynomial(records + [dropped, dropped])
 
 
@@ -522,9 +528,10 @@ def test_minimal_polynomial_large_coefficients_need_precision():
     assert poly.max_rounding_residual < 1e-10
 
 
-def test_minimal_polynomial_snap_failure_degree_one(records_20_6):
-    half = context(256).mpc(mpmath.mpf("0.5"))
-    fake = [dataclasses.replace(records_20_6[0], value=half)]
+def test_minimal_polynomial_snap_failure_degree_one():
+    # (-7, 2) has one conjugate: its whole set with the value 0.5
+    (record,) = conjugates(validate_discriminant(-7), 2, precision=256)
+    fake = [dataclasses.replace(record, value=context(256).mpc(mpmath.mpf("0.5")))]
     with pytest.raises(SnapFailureError):
         minimal_polynomial(fake)
     with pytest.raises(InputError):
