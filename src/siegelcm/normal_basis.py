@@ -12,6 +12,7 @@ pairs in real fixed point and snapped to an integer polynomial.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,9 +21,9 @@ from mpmath.libmp import fzero, mpc_abs, mpf_cmp, mpf_div, to_fixed, to_float, t
 
 from .errors import EvaluationError, InputError, SnapFailureError
 from .exactmath import (
-    DEFAULT_GUARD, DEFAULT_PRECISION, conjugate_key, context, to_complex,
+    DEFAULT_GUARD, DEFAULT_PRECISION, conjugate_key, context, require_level, to_complex,
 )
-from .quadforms import Discriminant, QuadForm, theta_of_form
+from .quadforms import Discriminant, QuadForm, _disc, theta_of_form
 from .reciprocity import FracVector, MatrixModN, act_vector, beta_modN, conjugate_indices
 # the invariant is bound here too, where the benchmark's tracer resolves it
 from .siegel_eval import siegel_power, siegel_ramachandra_invariant  # noqa: F401
@@ -105,8 +106,9 @@ def _partner(Q: QuadForm, vector: FracVector) -> tuple[tuple[int, int, int], Fra
     return (a, -b, c), FracVector(v, -w, N)
 
 
-def _index(d: Discriminant, N: int) -> list[tuple[MatrixModN, QuadForm, FracVector]]:
-    """The conjugate set of d and N: its (alpha, Q, vector) triples in record order."""
+@functools.lru_cache(maxsize=1)
+def _index(d: Discriminant, N: int) -> tuple[tuple, tuple[int, ...]]:
+    """The (alpha, Q, vector) triples of d and N in record order, and each one's ``_partner`` position."""
     forms, group = conjugate_indices(d, N)
     base = FracVector(0, 1, N)
     starts = [act_vector(base, alpha) for alpha in group]
@@ -114,28 +116,23 @@ def _index(d: Discriminant, N: int) -> list[tuple[MatrixModN, QuadForm, FracVect
     for Q in forms:
         beta = beta_modN(Q, N)
         triples += [(alpha, Q, act_vector(start, beta)) for alpha, start in zip(group, starts)]
-    return triples
-
-
-def _partners(triples: list[tuple[MatrixModN, QuadForm, FracVector]]) -> list[int]:
-    """For each triple of a whole conjugate set, the position of its ``_partner``."""
     position = {(Q.as_tuple(), vector): i for i, (_, Q, vector) in enumerate(triples)}
-    return [position[_partner(Q, vector)] for _, Q, vector in triples]
+    return tuple(triples), tuple(position[_partner(Q, vector)] for _, Q, vector in triples)
 
 
 def conjugates(d: Discriminant, N: int, precision: int = DEFAULT_PRECISION) -> list[ConjugateRecord]:
     """Evaluate every conjugate of the base value, identity record first.
 
-    The records run over forms Q, principal first, and within each over
-    the W classes alpha, identity first, as ``_index`` lists them.  Record
-    (alpha, Q) has the vector (0, 1) alpha beta_Q in canonical form and
-    the value the -12N/gcd(6,N) power of g at the CM point of Q, carried
-    at ``precision`` bits (with a fixed DEFAULT_GUARD = 64 extra working
-    bits); tau, the CM point rounded to precision + 64 bits, is made at the
-    form's first evaluated vector; siegel_eval's "Rounded CM points" bounds
-    the error relative to g at the exact CM point.  The principal form has
-    beta = 1, so the first record is the base value itself with vector
-    (0, 1).
+    The records run over forms Q, principal first, and within each over the
+    W classes alpha, identity first, as the memoized ``_index`` lists them.
+    Record (alpha, Q) has the vector (0, 1) alpha beta_Q in canonical form
+    and the value the -12N/gcd(6,N) power of g at the CM point of Q,
+    carried at ``precision`` bits (with a fixed DEFAULT_GUARD = 64 extra
+    working bits); tau, the CM point rounded to precision + 64 bits, is
+    made at the form's first evaluated vector; siegel_eval's "Rounded CM
+    points" bounds the error relative to g at the exact CM point.  The
+    principal form has beta = 1, so the first record is the base value
+    itself with vector (0, 1).
 
     Complex conjugation saves about half the evaluations.  A record whose
     partner comes earlier and lies on another form takes the exact
@@ -144,9 +141,9 @@ def conjugates(d: Discriminant, N: int, precision: int = DEFAULT_PRECISION) -> l
     record is evaluated, among them all records of the forms that are
     their own partner (b = 0, b = a or a = c).
     """
-    precision = context(precision).prec
-    triples = _index(d, N)
-    partner = _partners(triples)
+    precision, N = context(precision).prec, require_level(N)
+    _disc(d)  # the memo hashes (d, N): both are checked first, as conjugate_indices would
+    triples, partner = _index(d, N)
     records, points = [], {}
     for i, (alpha, Q, vector) in enumerate(triples):
         j = partner[i]
@@ -161,8 +158,9 @@ def conjugates(d: Discriminant, N: int, precision: int = DEFAULT_PRECISION) -> l
     return records
 
 
-def _checked(records: list[ConjugateRecord]) -> int:
-    """The records' one precision p, after the checks both consumers share.
+def _checked(records: list[ConjugateRecord]) -> tuple[int, list[int], tuple[int, ...]]:
+    """The records' one precision p, their positions in ``_index`` and its partner
+    positions, after the checks both consumers share.
 
     An empty list, one that mixes levels N, discriminants d or precisions,
     or one whose (alpha, form, vector) triples are not those of ``_index``
@@ -178,7 +176,8 @@ def _checked(records: list[ConjugateRecord]) -> int:
     if len(precisions) > 1:
         raise InputError(f"records must share one precision, got {sorted(precisions)} bits")
     (d,), (N,) = ds, Ns
-    position = {triple: i for i, triple in enumerate(_index(Discriminant(d), N))}
+    triples, partner = _index(Discriminant(d), N)
+    position = {triple: i for i, triple in enumerate(triples)}
     where = []
     for k, r in enumerate(records):
         i = position.get((r.alpha, r.form, r.vector))
@@ -191,7 +190,7 @@ def _checked(records: list[ConjugateRecord]) -> int:
     # a special mpf (zero, an infinity or NaN) has mantissa 0: at most one part may be, and only 0
     if any([part for part in r.value._mpc_ if not part[1]] not in ([], [fzero]) for r in records):
         raise EvaluationError("a conjugate is zero or NaN, or infinite")
-    return precisions.pop()
+    return precisions.pop(), where, partner
 
 
 def _least_power(ratio: Fraction, group_order: int) -> int:
@@ -226,24 +225,22 @@ def _least_power(ratio: Fraction, group_order: int) -> int:
 def check_criterion(records: list[ConjugateRecord]) -> CriterionReport:
     """Certify |x^gamma / x| < 1 over the non-identity records.
 
-    Ratios are moduli relative to the base record, which must come first
-    (identity class, principal form, vector (0, 1); else InputError).  The
-    records must be the whole conjugate set of ``_index`` at their d and N,
-    each (alpha, form, vector) once; any other list is an InputError.  The
-    group order #G = h(d) #W/{+-1} is the set's size.  Each modulus is
-    rounded to the records' one precision p and each quotient to p + 16
-    bits, all to nearest, on mpmath's raw tuples.  A value and its
-    conjugate have one ``conjugate_key`` and share one modulus and
-    quotient, which see Im z only through its square.  The maximum gets the
-    2^-64 safety margin before the < 1 test and before the exponent search.
+    Ratios are moduli relative to the base record, which must come first, at
+    position 0 of the memoized ``_index`` (identity class, principal form,
+    vector (0, 1)); else InputError.  The records must be the index's whole
+    conjugate set at their d and N, each (alpha, form, vector) once; any
+    other list is an InputError.  The group order #G = h(d) #W/{+-1} is the
+    set's size.  Each modulus is rounded to the records' one precision p and
+    each quotient to p + 16 bits, all to nearest, on mpmath's raw tuples.  A
+    value and its conjugate have one ``conjugate_key`` and share one modulus
+    and quotient, which see Im z only through its square.  The maximum gets
+    the 2^-64 safety margin before the < 1 test and before the exponent search.
     """
-    p = _checked(records)
-    first = records[0]
-    # a reduced form with a = 1 is the principal form
-    if not (first.alpha.is_identity() and first.form.a == 1 and first.vector.as_tuple() == (0, 1)):
+    p, where, _ = _checked(records)
+    if where[0] != 0:
         raise InputError("the first record must be the base: identity, principal form, (0, 1)")
     group_order = len(records)
-    base = mpc_abs(first.value._mpc_, p, "n")
+    base = mpc_abs(records[0].value._mpc_, p, "n")
     # conj(z) has the modulus of z: one quotient per conjugate_key; finite over
     # finite and non-zero, every quotient is finite, so the largest is exact
     shared, ratios, largest = {}, [], fzero
@@ -271,17 +268,17 @@ def check_criterion(records: list[ConjugateRecord]) -> CriterionReport:
 def minimal_polynomial(records: list[ConjugateRecord]) -> IntPolynomial:
     """Expand prod (X - value) over the records and snap to integers.
 
-    The records must be the whole conjugate set of ``_index`` at their d
-    and N, each (alpha, form, vector) once, in any order; any other list is
-    an InputError.  The product is real, so it runs over conjugate pairs:
-    ``_partners`` names each record's partner, a pair contributes
-    X^2 - 2 Re(z) X + |z|^2 at its first record and a real value (its own
-    partner) X - Re(z).  The factors are multiplied in ascending order of
-    |z| (by binary exponent, ties in record order), so the coefficients
-    grow to full size only in the last products.  Each partner must lie
-    within 2^(2-p) |z| of conj(z), and a real value's |Im z| within half of
-    that, p being the records' one precision: both values carry a relative
-    error below 2^-p, so a larger gap is an EvaluationError.
+    The records must be the whole conjugate set of the memoized ``_index``
+    at their d and N, each (alpha, form, vector) once, in any order; any
+    other list is an InputError.  The product is real, so it runs over
+    conjugate pairs: the index names each record's partner, a pair
+    contributes X^2 - 2 Re(z) X + |z|^2 at its first record and a real value
+    (its own partner) X - Re(z).  The factors are multiplied in ascending
+    order of |z| (by binary exponent, ties in record order), so the
+    coefficients grow to full size only in the last products.  Each partner
+    must lie within 2^(2-p) |z| of conj(z), and a real value's |Im z| within
+    half of that, p being the records' one precision: both values carry a
+    relative error below 2^-p, so a larger gap is an EvaluationError.
 
     Coefficients are Python integers scaled by 2^F, F = p + 64.  Every
     integer step truncates by less than one unit 2^-F: each Re z and Im z
@@ -293,11 +290,12 @@ def minimal_polynomial(records: list[ConjugateRecord]) -> IntPolynomial:
     ``max_imag_residual`` keeps its default 0.0.  Callers should pass
     records from a run whose certificate passed.
     """
-    p = _checked(records)
+    p, where, partner = _checked(records)
     F = p + 64
     factors = []
-    partners = _partners([(r.alpha, r.form, r.vector) for r in records])
-    for k, (rec, j) in enumerate(zip(records, partners)):
+    record_at = {i: k for k, i in enumerate(where)}
+    for k, rec in enumerate(records):
+        j = record_at[partner[where[k]]]
         if j < k:  # the pair's factor came at its first record
             continue
         z = rec.value

@@ -12,11 +12,12 @@ import importlib
 import importlib.util
 import inspect
 import sys
+import traceback
 from pathlib import Path
 
 import pytest
 
-from siegelcm import cli, context, normal_basis, siegel_eval
+from siegelcm import cli, conjugate_indices, context, normal_basis, siegel_eval
 from siegelcm.errors import SnapFailureError
 from siegelcm.normal_basis import IntPolynomial
 
@@ -74,3 +75,22 @@ def test_note_snap_reads_both_residuals(run_module):
     assert note((records,), {}, poly, None) == {"n": 2, "ok": True, "residual": 0.25}
     failure = SnapFailureError("no snap", max_rounding_residual=0.5, max_imag_residual=0.0)
     assert note((), {"records": records}, None, failure) == {"n": 2, "ok": False, "residual": 0.5}
+
+
+@pytest.mark.parametrize("subcommand", ["minpoly", "normal-basis"])
+def test_a_request_enumerates_its_conjugate_set_once_inside_conjugates(monkeypatch, capsys, subcommand):
+    # bench/test_bench.py's tracer test reads its first w_group span as a
+    # child of conjugates: with the index cold, a request's one enumeration
+    # is made there, and the certificate and the polynomial reuse it
+    callers = []
+
+    def counted(*args):
+        callers.append({frame.f_code for frame, _ in traceback.walk_stack(None)})
+        return conjugate_indices(*args)
+
+    normal_basis._index.cache_clear()
+    monkeypatch.setattr(normal_basis, "conjugate_indices", counted)
+    assert cli.main([subcommand, "--disc", "-20", "-N", "6"]) == 0
+    capsys.readouterr()
+    assert len(callers) == 1
+    assert normal_basis.conjugates.__code__ in callers[0]

@@ -357,11 +357,31 @@ def test_record_lists_must_be_the_conjugate_set():
                           dataclasses.replace(recs[2], vector=recs[1].vector)] + recs[3:]
     for broken, k in ((moved, 7), (twin, 5), (stray, 5), (extra, 8), (forged, 5), (swapped, 1)):
         for consumer in (check_criterion, minimal_polynomial):
+            # a cold index: the consumer builds it from d and N alone
+            normal_basis._index.cache_clear()
             with pytest.raises(InputError, match=rf"record {k} \(W class .*\) is not a conjugate of d = -20, N = 6"):
                 consumer(broken)
     report = check_criterion(recs)
     assert (report.passes, report.group_order, report.m) == (True, 8, 1)
     assert minimal_polynomial(recs).coefficients == tuple(REFERENCE_POLY_20_6)
+
+
+def test_the_memoized_index_changes_no_answer(records_20_6):
+    recs = list(records_20_6)
+    # with the index of (-20, 6) warm, a float, a bool or an unhashable
+    # level is still no level, and a bare list is still no field
+    conjugates(D20, 6, precision=64)
+    for level in (6.0, True, [6]):
+        with pytest.raises(InputError, match="level must be an integer >= 2"):
+            conjugates(D20, level)
+    with pytest.raises(InputError, match="validate_discriminant"):
+        conjugates([-20], 6)
+    # both consumers give one answer from a cold and from a warm index
+    normal_basis._index.cache_clear()
+    cold = (check_criterion(recs), minimal_polynomial(recs))
+    warm = (check_criterion(recs), minimal_polynomial(recs))
+    assert cold == warm
+    assert cold[1].coefficients == tuple(REFERENCE_POLY_20_6)
 
 
 def test_least_certifying_power_exact_boundaries():
@@ -422,6 +442,12 @@ def test_partner_map_closes_every_record_set(d, N):
         assert normal_basis._partner(partner.form, partner.vector) == _key(rec)
         bits = agreement_bits(partner.value, rec.value.conjugate())
         assert bits >= p - 1, (_key(rec), bits)
+    # the index's partner positions: an involution, each at its _partner key
+    triples, partner = normal_basis._index(validate_discriminant(d), N)
+    assert triples == tuple((rec.alpha, rec.form, rec.vector) for rec in records)
+    for i, j in enumerate(partner):
+        assert partner[j] == i
+        assert _key(records[j]) == normal_basis._partner(records[i].form, records[i].vector)
 
 
 @pytest.mark.parametrize("d, N", [(-95, 12), (-23, 8)])
@@ -458,6 +484,16 @@ def test_snapped_polynomials_split_as_the_frobenius_orders(d, N, p):
     for prime, k in primes:
         assert oracle_frobenius_holds(coefficients, prime, k), (prime, k)
         assert not oracle_frobenius_holds(mutant, prime, k), (prime, k)
+
+
+@pytest.mark.parametrize("d, N, p", [(-95, 12, 512), (-19, 6, 256)])
+def test_minimal_polynomial_does_not_depend_on_the_record_order(d, N, p):
+    # "in any order": shuffled records give the same coefficients and the
+    # same rounding residual
+    records = conjugates(validate_discriminant(d), N, precision=p)
+    shuffled = random.Random(d * N).sample(records, len(records))
+    assert shuffled != records
+    assert minimal_polynomial(shuffled) == minimal_polynomial(records)
 
 
 def test_minimal_polynomial_needs_every_partner(records_20_6):
